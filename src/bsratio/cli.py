@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import figures, pipeline, primesum, ratio
-from .errors import VerificationError
+from .errors import CostGuardError, VerificationError
 from .ntheory import build_field, is_prime
 from .specfun import constants_table
 
@@ -40,17 +40,27 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     q = _require_odd_prime(args.q)
-    field = build_field(q)
-    rec = ratio.log_ratio_fft(field)
-    split = primesum.verify_ratio(q, A=args.A, delta=args.delta)
+    try:
+        split = primesum.verify_ratio(q, A=args.A, delta=args.delta)
+    except CostGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except VerificationError as exc:
+        print(f"FAIL: {exc}")
+        return 1
+    rec = ratio.log_ratio_fft(build_field(q))
     diff = abs(split.total - rec.log_R)
     tol = 10.0 ** (-args.delta) + rec.err_est
     plan = split.plan
     print(f"q={q} A={plan.A} P={plan.P} M={plan.M} K={plan.K} delta={plan.delta}")
+    print("checks     fft route against direct O(q^2) L(1,chi) sums + truncated Euler product")
     print(f"fft        {rec.log_R!r}")
     print(f"prime-sum  {split.total!r}")
     print(f"difference {diff:.3e}")
-    print(f"tolerance  {tol:.3e}  (certified {plan.e1_bound + plan.e2_bound:.3e} + err_est {rec.err_est:.3e})")
+    print(
+        f"tolerance  {tol:.3e}  (certified truncation E1+E2 {plan.e1_bound + plan.e2_bound:.3e}, "
+        f"not rounding; + err_est {rec.err_est:.3e})"
+    )
     ok = diff <= tol
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -62,6 +72,9 @@ def _cmd_sigma(args) -> int:
     rec = ratio.log_ratio_fft(field)
     try:
         split = primesum.prime_sum_split(q, rec.log_R, A=args.A, delta=args.delta)
+    except CostGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except VerificationError as exc:
         print(f"FAIL: {exc}")
         return 1

@@ -251,20 +251,21 @@ def moebius_tail(field: PrimeField, plan: TruncationPlan, l1_values) -> float:
         raise ValueError(f"need {field.n - 1} L(1,chi) values, got {l1.shape[0]}")
     if float(np.min(l1)) <= 0.0:
         raise ValueError("L(1,chi) magnitudes must be positive")
-    ctx = _EulerContext(field, plan.P)
-    log_r_direct = fsum(np.log(l1))
-    total = log_r_direct - _head_sum(ctx)
-    for u, c in sorted(_tail_coefficients(plan.M, plan.K, m_start=1).items()):
-        total += c * _orbit_log_sum(ctx, u)
-    return total
+    return _moebius_tail_ctx(_EulerContext(field, plan.P), plan, l1)
 
 
 def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8, max_q: int = VERIFY_MAX_Q) -> SigmaSplit:
-    """Recompute log R(q) from prime sums, certified to 10^-delta.
+    """Recompute log R(q) from prime sums, truncation certified to 10^-delta.
 
-    log_R_check = head_sum + moebius_tail; the returned split carries the
-    prime-power part computed by the same machinery, with the prime part
-    as the difference (re-rounded so the stored identity is bit-exact).
+    log_R_check = head_sum + moebius_tail.  The tail's km=1 term is
+    fsum(log|L(1,chi)|) - head_sum, with L(1,chi) from the direct O(q^2)
+    per-character sums of ratio.naive_l1_magnitudes; its other terms sum
+    to zero up to the truncation remainders E1+E2.  So the check compares
+    the FFT route against the direct L(1,chi) sums plus a truncated Euler
+    product; the 10^-delta certificate covers the truncation remainders
+    E1+E2, not rounding.  The returned split carries the prime-power part
+    computed by the same machinery, with the prime part as the difference
+    (re-rounded so the stored identity is bit-exact).
     """
     if q > max_q:
         raise CostGuardError(f"verifier refused for q={q} > {max_q}")

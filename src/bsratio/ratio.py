@@ -15,7 +15,8 @@ Three routes to the same number:
               length-(q-1) spectrum; used as a cross-check of the FFT route.
 * NAIVE    -- the unfolded per-character sums (linear and log Gamma
               weights) evaluated by direct O(q^2) summation, no FFT code
-              shared; the oracle for both.
+              shared; the oracle for both.  Only the bins a parity class
+              consumes are summed, in sqrt(q)-blocks (_naive_abs_sums).
 
 All assembly sums go through math.fsum: the parity prefactors grow like
 q log q while log R stays O(1), so the final additions cancel massively
@@ -227,18 +228,36 @@ def log_ratio_digamma(field: PrimeField) -> RatioRecord:
     )
 
 
-def _naive_abs_sums(field: PrimeField, f_res: np.ndarray) -> np.ndarray:
-    """|sum_k f(g^k) e(jk/n)| for every j, by direct summation (no FFT)."""
+def _naive_abs_sums(field: PrimeField) -> np.ndarray:
+    """|S_j| for j = 0..n-1 (n = q-1), S_j = sum_k f(g^k) e(jk/n) by direct
+    summation (no FFT), with the weights each parity class consumes:
+    f(a) = a/q for odd j, f(a) = log Gamma(a/q) for even j (bin 0 included).
+
+    Only bins j <= n/2 are summed; both weight vectors are real, so
+    S_{n-j} = conj(S_j) gives the rest.  Each sum is blocked as
+    k = k1 B + k0 with B = isqrt(n) and x zero-padded to a multiple of B:
+    e(jk/n) = e((j k0 mod n)/n) e((j B k1 mod n)/n), so a block of rows is
+    one matrix product over k0 and one elementwise product over k1, and
+    each bin costs O(sqrt n) index work beside its n terms.
+    """
     q, n = field.q, field.n
-    x = f_res[field.pow_table].astype(np.float64)
+    h = n // 2
+    B = math.isqrt(n)
+    n1 = -(-n // B)
     omega = np.exp((2j * np.pi / n) * np.arange(n))
-    k = np.arange(n, dtype=np.int64)
+    k0 = np.arange(B, dtype=np.int64)
+    k1 = B * np.arange(n1, dtype=np.int64)
+    step = 2 * max(1, (1 << 20) // max(B, n1))  # temporaries <= ~2^20 entries
     out = np.empty(n)
-    block = max(1, (1 << 22) // n)
-    for j0 in range(0, n, block):
-        js = np.arange(j0, min(j0 + block, n), dtype=np.int64)
-        idx = (js[:, None] * k[None, :]) % n
-        out[j0 : j0 + js.size] = np.abs(omega[idx] @ x)
+    for f_res, first in ((_linear_weights(q), 1), (_loggamma_weights(q), 0)):
+        x = np.zeros(n1 * B)
+        x[:n] = f_res[field.pow_table]
+        xt = x.reshape(n1, B).T
+        for j0 in range(first, h + 1, step):
+            js = np.arange(j0, min(j0 + step, h + 1), 2, dtype=np.int64)[:, None]
+            inner = omega[(js * k0) % n] @ xt
+            out[js[:, 0]] = np.abs(np.sum(inner * omega[(js * k1) % n], axis=1))
+    out[h + 1 :] = out[h - 1 : 0 : -1]
     return out
 
 
@@ -247,13 +266,9 @@ def log_ratio_naive(field: PrimeField) -> RatioRecord:
     q = field.q
     if q > NAIVE_MAX_Q:
         raise CostGuardError(f"naive method refused for q={q} > {NAIVE_MAX_Q}")
-    abs_a = _naive_abs_sums(field, _linear_weights(q))
-    odd_part = _class_log_sum(_odd_pref(q), abs_a[1::2], q, "odd")
-    if q == 3:
-        even_part = 0.0
-    else:
-        abs_g = _naive_abs_sums(field, _loggamma_weights(q))
-        even_part = _class_log_sum(_even_pref(q), abs_g[2::2], q, "even")
+    abs_s = _naive_abs_sums(field)
+    odd_part = _class_log_sum(_odd_pref(q), abs_s[1::2], q, "odd")
+    even_part = _class_log_sum(_even_pref(q), abs_s[2::2], q, "even")  # empty for q = 3
     log_R = odd_part + even_part
     return RatioRecord(
         q=q,
@@ -271,18 +286,17 @@ def naive_l1_magnitudes(field: PrimeField) -> np.ndarray:
 
     Odd j: (pi/sqrt q) |sum_a (a/q) chi_j(a)|; even j:
     (2/sqrt q) |sum_a chi_j(a) log Gamma(a/q)|.  Shares no FFT code, so
-    the prime-sum verifier built on these is independent of dft_fast.
+    the km=1 term of the prime-sum verifier, which carries log R, is
+    independent of dft_fast.
     """
     q = field.q
     if q > NAIVE_MAX_Q:
         raise CostGuardError(f"naive method refused for q={q} > {NAIVE_MAX_Q}")
-    abs_a = _naive_abs_sums(field, _linear_weights(q))
+    abs_s = _naive_abs_sums(field)
     rootq = math.sqrt(q)
     mags = np.empty(q - 1)
-    mags[1::2] = (math.pi / rootq) * abs_a[1::2]
-    if q > 3:
-        abs_g = _naive_abs_sums(field, _loggamma_weights(q))
-        mags[2::2] = (2.0 / rootq) * abs_g[2::2]
+    mags[1::2] = (math.pi / rootq) * abs_s[1::2]
+    mags[2::2] = (2.0 / rootq) * abs_s[2::2]
     _guard_bins(mags[1:], q, "per-character")
     return mags[1:]
 

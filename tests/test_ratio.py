@@ -200,3 +200,77 @@ class TestErrEstimate:
         e = [log_ratio_fft(field(q)).err_est for q in (101, 1009, 10007)]
         assert e[0] < e[1] < e[2]
         assert all(v > 0 for v in e)
+
+
+def _log_r_unfolded_mp(mp, f):
+    """log R(q) at the working precision of mp from the unfolded direct
+    sums: every character j = 1..q-2 over all q-1 residues, linear weights
+    a/q for odd j and log Gamma(a/q) for even j."""
+    q, n = f.q, f.n
+    a = [mp.mpf(int(v)) / q for v in f.pow_table]
+    weights = (a, [mp.loggamma(v) for v in a])
+    cos = [mp.cospi(mp.mpf(2 * m) / n) for m in range(n)]
+    sin = [mp.sinpi(mp.mpf(2 * m) / n) for m in range(n)]
+    total = (mp.mpf(q - 1) / 2) * (mp.log(mp.pi) - mp.log(q) / 2)
+    total += (mp.mpf(q - 3) / 2) * (mp.log(2) - mp.log(q) / 2)
+    for j in range(1, n):
+        x = weights[0] if j % 2 else weights[1]
+        idx = [(j * k) % n for k in range(n)]
+        re = mp.fdot(x, [cos[i] for i in idx])
+        im = mp.fdot(x, [sin[i] for i in idx])
+        total += mp.log(re * re + im * im) / 2
+    return total
+
+
+class TestBlockedNaiveRoute:
+    # n = q-1 < B^2 (B = isqrt n) for 3, 7, 13, 101, 1009, so x is padded;
+    # h = (q-1)/2 is even for 5, 13, 101, 1009 and odd for 3, 7
+    @pytest.mark.parametrize("q", [3, 5, 7, 13, 101, 1009])
+    def test_bins_vs_dft_naive(self, field, q):
+        from scipy.special import gammaln
+
+        from bsratio.fft import dft_naive
+
+        f = field(q)
+        a = f.pow_table.astype(np.float64) / q
+        rootq = math.sqrt(q)
+        ref = np.empty(q - 1)
+        ref[1::2] = (math.pi / rootq) * np.abs(dft_naive(a))[1::2]
+        ref[2::2] = (2.0 / rootq) * np.abs(dft_naive(gammaln(a)))[2::2]
+        got = naive_l1_magnitudes(f)
+        assert got.shape == (q - 2,)
+        assert np.max(np.abs(got - ref[1:]) / ref[1:]) <= 1e-13
+
+    def test_no_fft_code_reached(self, field, monkeypatch):
+        import numpy.fft
+        import scipy.fft
+
+        import bsratio.fft
+
+        class FftReached(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise FftReached
+
+        for module, attr in (
+            (bsratio.fft, "dft_fast"),
+            (bsratio.fft, "_bluestein"),
+            (scipy.fft, "fft"),
+            (numpy.fft, "fft"),
+        ):
+            monkeypatch.setattr(module, attr, boom)
+        f = field(1009)
+        with pytest.raises(FftReached):
+            log_ratio_fft(f)
+        assert naive_l1_magnitudes(f).shape == (1007,)
+        assert math.isfinite(log_ratio_naive(f).log_R)
+
+    @pytest.mark.parametrize("q", [101, 409])
+    def test_log_r_vs_30_digit_reference(self, field, q):
+        mp = pytest.importorskip("mpmath")
+        f = field(q)
+        with mp.workdps(30):
+            ref = _log_r_unfolded_mp(mp, f)
+            assert abs(log_ratio_naive(f).log_R - ref) <= 1e-13
+            assert abs(log_ratio_fft(f).log_R - ref) <= 1e-13
