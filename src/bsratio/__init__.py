@@ -4,7 +4,7 @@ prime-sum verifier, the associated explicit bounds, and figure export.
 """
 
 from .bounds import check_dusart, check_envelope, refined_bound, simple_bound
-from .fft import CharSpectrum, char_spectrum, dft_fast, dft_naive, parity_split
+from .fft import char_spectrum, dft_fast, dft_naive
 from .ntheory import (
     PrimeField,
     build_field,
@@ -29,13 +29,11 @@ from .primesum import (
 from .ratio import (
     Method,
     RatioRecord,
-    even_log_sum,
     log_H,
     log_hreg,
     log_ratio_digamma,
     log_ratio_fft,
     log_ratio_naive,
-    odd_log_sum,
 )
 from .specfun import (
     ConstantsTable,

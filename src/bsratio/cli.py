@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import figures, pipeline, primesum, ratio
-from .errors import CostGuardError, VerificationError
+from .errors import VerificationError
 from .ntheory import build_field, is_prime
 from .specfun import constants_table
 
@@ -23,14 +23,18 @@ def _require_odd_prime(q: int) -> int:
 
 
 def _cmd_compute(args) -> int:
-    manifest = pipeline.compute_range(
-        args.from_q,
-        args.to_q,
-        out=args.out,
-        threads=args.threads,
-        resume=args.resume,
-        paranoid=args.paranoid,
-    )
+    try:
+        manifest = pipeline.compute_range(
+            args.from_q,
+            args.to_q,
+            out=args.out,
+            threads=args.threads,
+            resume=args.resume,
+            paranoid=args.paranoid,
+        )
+    except ValueError as exc:  # a bad range, or a damaged file under --resume
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"range [{manifest.range[0]}, {manifest.range[1]}] -> {manifest.output_path} "
         f"(completed through {manifest.completed_through}, threads={manifest.thread_count})"
@@ -42,7 +46,7 @@ def _cmd_verify(args) -> int:
     q = _require_odd_prime(args.q)
     try:
         split = primesum.verify_ratio(q, A=args.A, delta=args.delta)
-    except CostGuardError as exc:
+    except ValueError as exc:  # cost guard or a bad --A/--delta
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
@@ -72,7 +76,7 @@ def _cmd_sigma(args) -> int:
     rec = ratio.log_ratio_fft(field)
     try:
         split = primesum.prime_sum_split(q, rec.log_R, A=args.A, delta=args.delta)
-    except CostGuardError as exc:
+    except ValueError as exc:  # cost guard or a bad --A/--delta
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

@@ -15,7 +15,6 @@ lengths around 1e7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -107,69 +106,18 @@ def dft_fast(x: np.ndarray) -> np.ndarray:
     return _bluestein(x)
 
 
-def idft_fast(x: np.ndarray) -> np.ndarray:
-    """Inverse of dft_fast (unitary up to the 1/n factor)."""
-    x = _check_finite(x)
-    return np.conj(dft_fast(np.conj(x))) / x.shape[0]
+def char_spectrum(field: PrimeField, f: np.ndarray) -> np.ndarray:
+    """All character sums mod q of a real-valued map on {1,..,q-1}.
 
-
-@dataclass(frozen=True)
-class CharSpectrum:
-    """All character sums mod q at once.
-
-    sums[j] = sum_{a=1}^{q-1} chi_j(a) f(a) under chi_j(g^k) = e(jk/(q-1));
-    sums[0] is the plain sum of f over the residues.  For real-valued f the
-    spectrum has conjugate symmetry sums[q-1-j] = conj(sums[j]).
+    f is an array of length q indexed by residue (entry 0 unused).  Returns
+    S with S[j] = sum_{a=1}^{q-1} chi_j(a) f(a) under
+    chi_j(g^k) = e(jk/(q-1)); S[0] is the plain sum of f over the residues,
+    S[q-1-j] = conj(S[j]), and chi_j(-1) = (-1)^j, so the odd characters
+    sit at odd j.
     """
-
-    q: int
-    sums: np.ndarray
-
-
-def _reindexed(field: PrimeField, f) -> np.ndarray:
-    if callable(f):
-        vals = np.array([f(int(a)) for a in field.pow_table], dtype=np.float64)
-    else:
-        vals = np.asarray(f, dtype=np.float64)
-        if vals.shape[0] != field.q:
-            raise ValueError("array f must have length q, indexed by residue")
-        vals = vals[field.pow_table]
-    if not np.isfinite(vals).all():
-        raise ValueError("f produced NaN or Inf")
-    return vals
-
-
-def char_spectrum(field: PrimeField, f, decimate: bool = False) -> CharSpectrum:
-    """Spectrum of a real-valued map on {1,..,q-1}.
-
-    f is either a callable a -> f(a) or an array of length q indexed by
-    residue (entry 0 unused).  With decimate=True the even/odd output
-    halves are computed by two half-length transforms
-    (decimation-in-frequency); the result is identical up to rounding.
-    """
-    x = _reindexed(field, f)
-    n = field.n
-    if not decimate or n % 2 != 0 or n < 4:
-        # sum_k x[k] e(+jk/n) = conj(DFT x) for real x
-        sums = np.conj(dft_fast(x))
-    else:
-        half = n // 2
-        even = np.conj(dft_fast(x[:half] + x[half:]))
-        tw = np.exp((2j * np.pi / n) * np.arange(half))
-        d = (x[:half] - x[half:]) * tw
-        odd = np.conj(dft_fast(np.conj(d)))
-        sums = np.empty(n, dtype=np.complex128)
-        sums[0::2] = even
-        sums[1::2] = odd
-    return CharSpectrum(q=field.q, sums=sums)
-
-
-def parity_split(spec: CharSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of odd characters and of even nonprincipal characters.
-
-    chi_j(-1) = (-1)^j, so parity of the character is parity of j.
-    """
-    n = spec.q - 1
-    odd = np.arange(1, n, 2, dtype=np.int64)
-    even = np.arange(2, n, 2, dtype=np.int64)
-    return odd, even
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape[0] != field.q:
+        raise ValueError("array f must have length q, indexed by residue")
+    # with x[k] = f(g^k), sum_k x[k] e(+jk/n) = conj(DFT x) for real x;
+    # dft_fast rejects NaN and Inf
+    return np.conj(dft_fast(f[field.pow_table]))

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,26 +165,20 @@ def compute_range(
 
     todo = [int(q) for q in primes[done:]]
     flagged: list[tuple[int, float]] = []
-    with open(path, mode, encoding="utf-8", newline="") as fh:
+    with open(path, mode, encoding="utf-8", newline="") as fh, ExitStack() as stack:
         if mode == "w":
             fh.write(CSV_HEADER + "\n")
-        if todo:
-            args = [(q, paranoid) for q in todo]
-            if threads <= 1:
-                results = map(_worker, args)
-                for (line, dis), q in zip(results, todo):
-                    fh.write(line)
-                    fh.flush()
-                    if dis is not None:
-                        flagged.append((q, dis))
-            else:
-                chunk = max(1, len(args) // (8 * threads))
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    for (line, dis), q in zip(pool.map(_worker, args, chunksize=chunk), todo):
-                        fh.write(line)
-                        fh.flush()
-                        if dis is not None:
-                            flagged.append((q, dis))
+        args = [(q, paranoid) for q in todo]
+        if threads <= 1 or not todo:
+            results = map(_worker, args)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+            results = pool.map(_worker, args, chunksize=max(1, len(args) // (8 * threads)))
+        for (line, dis), q in zip(results, todo):
+            fh.write(line)
+            fh.flush()
+            if dis is not None:
+                flagged.append((q, dis))
     for q, d in flagged:
         print(f"warning: q={q}: fft/digamma disagreement {d:.3e}", file=sys.stderr)
 

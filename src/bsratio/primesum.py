@@ -112,7 +112,7 @@ def choose_plan(q: int, A: int = DEFAULT_A, delta: int = 8) -> TruncationPlan:
 
 class _EulerContext:
     """Per-(field, P) scratch: sieved primes, their discrete logs, and one
-    cached L(s, .) spectrum per distinct exponent s."""
+    cached L(s, .) spectrum and orbit sum T(s) per distinct exponent s."""
 
     def __init__(self, field: PrimeField, P: int):
         if P < field.q:
@@ -125,6 +125,7 @@ class _EulerContext:
         self.pfloat = primes.astype(np.float64)
         self.dlogs = field.dlog[primes % field.q]
         self._spectra: dict[int, np.ndarray] = {}
+        self._orbit_sums: dict[int, float] = {}
 
     def l_values(self, s: int) -> np.ndarray:
         """L(s, chi_j) for every j (principal included at j=0) via
@@ -134,9 +135,40 @@ class _EulerContext:
             q = self.field.q
             f = np.zeros(q)
             f[1:] = sp.zeta(s, np.arange(1, q) / q)
-            spec = char_spectrum(self.field, f).sums * float(q) ** (-s)
+            spec = char_spectrum(self.field, f) * float(q) ** (-s)
             self._spectra[s] = spec
         return spec
+
+    def tail(self, M: int, K: int, m_start: int) -> float:
+        """sum_u c_u T(u), the Moebius tail over u = km with k <= K,
+        m_start <= m <= M, mu(k) != 0 and (k,m) != (1,1), where c_u is the
+        net coefficient sum mu(k)/(km).  For u <= min(M,K) the divisor sums
+        cancel to an IEEE-exact zero and T(u) is skipped.  Each T(u) is
+        evaluated once per context, whichever tails share it."""
+        coeff: dict[int, float] = defaultdict(float)
+        for m in range(m_start, M + 1):
+            for k in range(1, K + 1):
+                mk = moebius(k)
+                if mk and (k, m) != (1, 1):
+                    coeff[k * m] += mk / (k * m)
+        total = 0.0
+        for u, c in sorted(coeff.items()):
+            if c != 0.0:
+                if u not in self._orbit_sums:
+                    self._orbit_sums[u] = _orbit_log_sum(self, u)
+                total += c * self._orbit_sums[u]
+        return total
+
+
+def _prepare(
+    q: int, A: int, delta: int, max_q: int
+) -> tuple[PrimeField, TruncationPlan, _EulerContext]:
+    """Cost guard, field, truncation plan and Euler context for one q."""
+    if q > max_q:
+        raise CostGuardError(f"verifier refused for q={q} > {max_q}")
+    plan = choose_plan(q, A, delta)
+    field = build_field(q)
+    return field, plan, _EulerContext(field, plan.P)
 
 
 def head_sum(field: PrimeField, P: int) -> float:
@@ -176,12 +208,6 @@ def truncated_log_L(s: int, j: int, field: PrimeField, P: int) -> complex:
     if j == 0:
         raise ValueError("principal character not allowed; use the zeta closed form")
     ctx = _EulerContext(field, P)
-    return _truncated_log_L(ctx, s, j)
-
-
-def _truncated_log_L(ctx: _EulerContext, s: int, j: int) -> complex:
-    field = ctx.field
-    n = field.n
     lval = ctx.l_values(s)[j]
     ang = (2.0 * np.pi / n) * ((j * ctx.dlogs) % n).astype(np.float64)
     with np.errstate(under="ignore"):
@@ -224,21 +250,6 @@ def _orbit_log_sum(ctx: _EulerContext, u: int) -> float:
     return total
 
 
-def _tail_coefficients(M: int, K: int, m_start: int) -> dict[int, float]:
-    """Net coefficient of Re log L_P(u, chi^u) per u = km, k <= K, m in
-    [m_start, M], mu(k) != 0 and (k,m) != (1,1).  For u <= min(M,K) the
-    divisor sums cancel to an IEEE-exact zero."""
-    coeff: dict[int, float] = defaultdict(float)
-    for m in range(m_start, M + 1):
-        for k in range(1, K + 1):
-            if k == 1 and m == 1:
-                continue
-            mk = moebius(k)
-            if mk:
-                coeff[k * m] += mk / (k * m)
-    return {u: c for u, c in coeff.items() if c != 0.0}
-
-
 def moebius_tail(field: PrimeField, plan: TruncationPlan, l1_values) -> float:
     """S(q,P,M,K): the Moebius-inverted tail of the split Euler product.
 
@@ -251,41 +262,31 @@ def moebius_tail(field: PrimeField, plan: TruncationPlan, l1_values) -> float:
         raise ValueError(f"need {field.n - 1} L(1,chi) values, got {l1.shape[0]}")
     if float(np.min(l1)) <= 0.0:
         raise ValueError("L(1,chi) magnitudes must be positive")
-    return _moebius_tail_ctx(_EulerContext(field, plan.P), plan, l1)
+    ctx = _EulerContext(field, plan.P)
+    return fsum(np.log(l1)) - _head_sum(ctx) + ctx.tail(plan.M, plan.K, 1)
 
 
 def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8, max_q: int = VERIFY_MAX_Q) -> SigmaSplit:
     """Recompute log R(q) from prime sums, truncation certified to 10^-delta.
 
-    log_R_check = head_sum + moebius_tail.  The tail's km=1 term is
-    fsum(log|L(1,chi)|) - head_sum, with L(1,chi) from the direct O(q^2)
-    per-character sums of ratio.naive_l1_magnitudes; its other terms sum
-    to zero up to the truncation remainders E1+E2.  So the check compares
-    the FFT route against the direct L(1,chi) sums plus a truncated Euler
-    product; the 10^-delta certificate covers the truncation remainders
-    E1+E2, not rounding.  The returned split carries the prime-power part
-    computed by the same machinery, with the prime part as the difference
-    (re-rounded so the stored identity is bit-exact).
+    log_R_check = head_sum + moebius_tail, whose km=1 term is
+    fsum(log|L(1,chi)|) - head_sum; the heads cancel, leaving
+    fsum(log|L(1,chi)|) plus the km >= 2 tail, which sums to zero up to
+    the truncation remainders E1+E2.  L(1,chi) comes from the direct
+    O(q^2) per-character sums of ratio.naive_l1_magnitudes, so the check
+    compares the FFT route against the direct L(1,chi) sums plus a
+    truncated Euler product; the 10^-delta certificate covers E1+E2, not
+    rounding.  The returned split carries the prime-power part computed by
+    the same machinery, with the prime part as the difference (re-rounded
+    so the stored identity is bit-exact).
     """
-    if q > max_q:
-        raise CostGuardError(f"verifier refused for q={q} > {max_q}")
-    field = build_field(q)
-    plan = choose_plan(q, A, delta)
+    field, plan, ctx = _prepare(q, A, delta, max_q)
     from .ratio import naive_l1_magnitudes
 
-    l1 = naive_l1_magnitudes(field)
-    ctx = _EulerContext(field, plan.P)
-    total = _head_sum(ctx) + _moebius_tail_ctx(ctx, plan, l1)
+    total = fsum(np.log(naive_l1_magnitudes(field))) + ctx.tail(plan.M, plan.K, 1)
     power = _power_sum_ctx(ctx, plan)
     prime = total - power
     return SigmaSplit(q=q, prime_sum=prime, power_sum=power, total=prime + power, plan=plan)
-
-
-def _moebius_tail_ctx(ctx: _EulerContext, plan: TruncationPlan, l1: np.ndarray) -> float:
-    total = fsum(np.log(np.abs(l1))) - _head_sum(ctx)
-    for u, c in sorted(_tail_coefficients(plan.M, plan.K, m_start=1).items()):
-        total += c * _orbit_log_sum(ctx, u)
-    return total
 
 
 def _power_sum_ctx(ctx: _EulerContext, plan: TruncationPlan) -> float:
@@ -299,12 +300,7 @@ def _power_sum_ctx(ctx: _EulerContext, plan: TruncationPlan) -> float:
         # sum_{m>=2} 1/(m p^m) and its restriction to e_p | m
         all_m = -np.log1p(-1.0 / p) - 1.0 / p
         on_orbit = np.where(e >= 2, -np.log1p(-(p**-e)) / e, all_m)
-    head = fsum(n * on_orbit - all_m)
-    tail = 0.0
-    for u, c in sorted(_tail_coefficients(plan.M, plan.K, m_start=2).items()):
-        tail += c * _orbit_log_sum(ctx, u)
-
-    value = head + tail
+    value = fsum(n * on_orbit - all_m) + ctx.tail(plan.M, plan.K, 2)
     consts = constants_table()
     bound = consts.power_sum_constant + (math.pi**2 / 6 - consts.power_sum_constant) / field.q
     if abs(value) > bound + 10.0 ** (-plan.delta):
@@ -316,11 +312,7 @@ def _power_sum_ctx(ctx: _EulerContext, plan: TruncationPlan) -> float:
 
 def prime_power_sum(q: int, A: int = DEFAULT_A, delta: int = 8, max_q: int = VERIFY_MAX_Q) -> float:
     """The prime-power part of log R(q), certified to 10^-delta."""
-    if q > max_q:
-        raise CostGuardError(f"verifier refused for q={q} > {max_q}")
-    field = build_field(q)
-    plan = choose_plan(q, A, delta)
-    ctx = _EulerContext(field, plan.P)
+    _, plan, ctx = _prepare(q, A, delta, max_q)
     return _power_sum_ctx(ctx, plan)
 
 
@@ -333,22 +325,14 @@ def prime_sum_split(
     m=1-only Moebius tail.  Indirect: log_R minus the certified prime-power
     part.  Disagreement beyond 2*10^-delta (plus rounding headroom) raises.
     """
-    if q > max_q:
-        raise CostGuardError(f"verifier refused for q={q} > {max_q}")
-    field = build_field(q)
-    plan = choose_plan(q, A, delta)
+    field, plan, ctx = _prepare(q, A, delta, max_q)
     from .ratio import naive_l1_magnitudes
 
-    l1 = naive_l1_magnitudes(field)
-    ctx = _EulerContext(field, plan.P)
     n = field.n
-
     e = n // np.gcd(ctx.dlogs, n)
     head1 = fsum(np.where(e == 1, n - 1, -1) / ctx.pfloat)
-    direct = head1 + fsum(np.log(l1)) - _head_sum(ctx)
-    for u, c in sorted(_tail_coefficients(1, plan.K, m_start=1).items()):
-        direct += c * _orbit_log_sum(ctx, u)
-
+    direct = head1 + fsum(np.log(naive_l1_magnitudes(field))) - _head_sum(ctx)
+    direct += ctx.tail(1, plan.K, 1)
     power = _power_sum_ctx(ctx, plan)
     indirect = log_R - power
     tol = 2.0 * 10.0 ** (-delta) + 1e-10

@@ -144,26 +144,6 @@ def _even_class(field: PrimeField) -> tuple[float, _Budget]:
     return _class_log_sum(_even_pref(q), mag, q, "even", w), (float(np.sum(np.abs(y))), mag, w)
 
 
-def odd_log_sum(field: PrimeField) -> float:
-    """Sum of log L(1, chi) over odd characters mod q.
-
-    Equals ((q-1)/2)(log pi - (log q)/2) + sum over odd j of
-    log |sum_a (a/q) chi_j(a)|, evaluated on the folded length-(q-1)/2
-    transform.
-    """
-    return _odd_class(field)[0]
-
-
-def even_log_sum(field: PrimeField) -> float:
-    """Sum of log L(1, chi) over even nonprincipal characters mod q.
-
-    Equals ((q-3)/2)(log 2 - (log q)/2) + sum over even j != 0 of
-    log |sum_a chi_j(a) log Gamma(a/q)|, evaluated through the log-sine
-    weights on the folded length-(q-1)/2 transform.  Empty for q = 3.
-    """
-    return _even_class(field)[0] if field.q > 3 else 0.0
-
-
 def _err_estimate(n: int, contributions: list[_Budget]) -> float:
     # forward budget: per-bin FFT error ~ eps log2(n) sum|x| for a length-n
     # transform of x, relative to each consumed bin (weighted by the bins it
@@ -208,9 +188,8 @@ def log_ratio_digamma(field: PrimeField) -> RatioRecord:
     q = field.q
     f = _digamma_weights(q)
     spec = fft.char_spectrum(field, f)
-    odd, even = fft.parity_split(spec)
-    mag_odd = np.abs(spec.sums[odd])
-    mag_even = np.abs(spec.sums[even])
+    mag_odd = np.abs(spec[1::2])  # chi_j(-1) = (-1)^j
+    mag_even = np.abs(spec[2::2])
     # log|L(1,chi_j)| = -log q + log|S_j|, split by parity class
     odd_part = _class_log_sum(-((q - 1) / 2) * math.log(q), mag_odd, q, "odd")
     even_part = _class_log_sum(-((q - 3) / 2) * math.log(q), mag_even, q, "even") if q > 3 else 0.0

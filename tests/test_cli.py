@@ -43,3 +43,33 @@ def test_verify_pass_states_what_it_checks(capsys):
     assert "direct O(q^2) L(1,chi) sums + truncated Euler product" in out
     assert "not rounding" in out
     assert out.rstrip().endswith("PASS")
+
+
+@pytest.mark.parametrize("command", ["verify", "sigma"])
+@pytest.mark.parametrize("flag", ["--delta", "--A"])
+def test_bad_plan_argument_exits_2(command, flag, capsys):
+    assert main([command, "--q", "101", flag, "0"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 100), (50, 40)])
+def test_compute_bad_range_exits_2(lo, hi, tmp_path, capsys):
+    out_path = tmp_path / "r.csv"
+    assert main(["compute", "--from", str(lo), "--to", str(hi), "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+    assert not out_path.exists()
+
+
+def test_compute_damaged_resume_exits_2(tmp_path, capsys):
+    damaged = tmp_path / "r.csv"
+    damaged.write_text("not,the,header\n")
+    argv = ["compute", "--from", "3", "--to", "50", "--out", str(damaged), "--resume"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+    assert damaged.read_text() == "not,the,header\n"

@@ -17,6 +17,7 @@ from bsratio import (
     truncated_log_L,
     verify_ratio,
 )
+from bsratio import primesum
 from bsratio.errors import CostGuardError
 from bsratio.primesum import _EulerContext, _orbit_log_sum, mertens_constant_q1, mertens_power_constant
 from bsratio.ratio import naive_l1_magnitudes
@@ -158,9 +159,7 @@ class TestOrbitIdentity:
 
 
 def _ctx_log_L(ctx, s, j):
-    from bsratio.primesum import _truncated_log_L
-
-    return _truncated_log_L(ctx, s, j)
+    return truncated_log_L(s, j, ctx.field, ctx.P)
 
 
 class TestMoebiusTail:
@@ -215,6 +214,22 @@ class TestVerifyRatio:
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
             verify_ratio(5003)
+
+    def test_each_orbit_sum_once(self, monkeypatch):
+        # q=4903 under the default plan A=20, delta=8: P=98060, M=K=3.  The
+        # m >= 1 tail needs T(4), T(6), T(9) (u=2, 3 cancel to zero); the
+        # m >= 2 tail of the prime-power part needs T(2), T(3), T(4), T(6), T(9)
+        calls = []
+        orbit = primesum._orbit_log_sum
+
+        def counted(ctx, u):
+            calls.append(u)
+            return orbit(ctx, u)
+
+        monkeypatch.setattr(primesum, "_orbit_log_sum", counted)
+        split = verify_ratio(4903)
+        assert (split.plan.A, split.plan.P, split.plan.M, split.plan.K) == (20, 98060, 3, 3)
+        assert sorted(calls) == [2, 3, 4, 6, 9]
 
 
 def _brute_sigma2(f, pmax=10**6, mmax=40):
