@@ -1,12 +1,15 @@
 """Explicit bounds: the prime-power sum bounds, the R(q) envelopes, and
-the prime-reciprocal inequality check."""
+the prime-reciprocal inequality check.
+
+The per-q checks take any record with .q and .R, such as a
+ratio.RatioRecord or a pipeline.StatsRow read back from a results CSV.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .ratio import RatioRecord
 from .specfun import constants_table, digamma, exp_integral_E1
 from .ntheory import prime_reciprocal_sum
 
@@ -60,8 +63,9 @@ def envelope_interval(q: int) -> tuple[float, float]:
     return _ENV_LO / lq, _ENV_HI * lq
 
 
-def check_envelope(record: RatioRecord) -> bool:
-    """True iff R(q) sits inside the envelope.
+def check_envelope(record) -> bool:
+    """True iff R(q) sits inside the envelope; reads only record.q and
+    record.R.
 
     The theoretical statement only holds above an unspecified effective
     threshold; callers treat results below ENVELOPE_MIN_Q as reports, not
@@ -71,8 +75,9 @@ def check_envelope(record: RatioRecord) -> bool:
     return lo < record.R < hi
 
 
-def normalized_in_band(record: RatioRecord) -> bool:
-    """True iff R(q) (log q)^(3/4) lies in the empirical band (0.19, 0.68)."""
+def normalized_in_band(record) -> bool:
+    """True iff R(q) (log q)^(3/4) lies in the empirical band (0.19, 0.68);
+    reads only record.q and record.R."""
     v = record.R * math.log(record.q) ** 0.75
     return NORMALIZED_BAND[0] < v < NORMALIZED_BAND[1]
 
@@ -109,8 +114,9 @@ def check_dusart(x: float) -> bool:
     return abs(s - math.log(math.log(x)) - m) <= 0.2 / math.log(x) ** 3
 
 
-def report_for(record: RatioRecord, sigma2: float | None = None) -> BoundReport:
-    """Assemble the per-q bound report row."""
+def report_for(record, sigma2: float | None = None) -> BoundReport:
+    """Assemble the per-q bound report row; reads only record.q and
+    record.R."""
     s2_ok = None
     if sigma2 is not None:
         s2_ok = abs(sigma2) <= simple_bound(record.q)

@@ -17,7 +17,7 @@ from .specfun import constants_table
 
 
 def _require_odd_prime(q: int) -> int:
-    if q < 3 or not is_prime(q) or q == 2:
+    if q < 3 or not is_prime(q):
         raise SystemExit(f"error: q={q} is not an odd prime")
     return q
 
@@ -72,9 +72,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sigma(args) -> int:
     q = _require_odd_prime(args.q)
-    field = build_field(q)
-    rec = ratio.log_ratio_fft(field)
     try:
+        primesum.check_cost(q)
+        rec = ratio.log_ratio_fft(build_field(q))
         split = primesum.prime_sum_split(q, rec.log_R, A=args.A, delta=args.delta)
     except ValueError as exc:  # cost guard or a bad --A/--delta
         print(f"error: {exc}", file=sys.stderr)
@@ -147,16 +147,7 @@ def _cmd_bounds(args) -> int:
     n_band = 0
     print("q,simple_bound,refined_bound,envelope_ok,normalized_ok")
     for row in rows:
-        rec = ratio.RatioRecord(
-            q=row.q,
-            log_R=row.log_R,
-            R=row.R,
-            odd_part=0.0,
-            even_part=row.log_R,
-            method=ratio.Method.FFT,
-            err_est=row.err_est,
-        )
-        rep = bounds_mod.report_for(rec)
+        rep = bounds_mod.report_for(row)
         n_env += rep.envelope_ok
         n_band += rep.normalized_ok
         print(

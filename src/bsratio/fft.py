@@ -6,10 +6,11 @@ primitive root g: with x[k] = f(g^k) the j-th spectrum entry is
 sum_k x[k] e(jk/(q-1)), where e(t) = exp(2 pi i t).
 
 Arbitrary lengths are handled by Bluestein's chirp-z reduction to a
-power-of-two convolution (the inner power-of-two transforms come from
-numpy.fft).  The chirp twiddles use the exact integer reduction
-k^2 mod 2n before any trigonometric call, so accuracy is uniform up to
-lengths around 1e7.
+cyclic convolution of length scipy.fft.next_fast_len(2n - 1), an
+11-smooth size that need not be a power of two; its transforms come from
+scipy.fft with one worker.  The chirp twiddles use the exact integer
+reduction k^2 mod 2n before any trigonometric call, so accuracy is
+uniform up to lengths around 1e7.
 """
 
 from __future__ import annotations

@@ -160,12 +160,16 @@ class _EulerContext:
         return total
 
 
-def _prepare(
-    q: int, A: int, delta: int, max_q: int
-) -> tuple[PrimeField, TruncationPlan, _EulerContext]:
+def check_cost(q: int) -> None:
+    """The verifier's cost guard: refuse q above VERIFY_MAX_Q (read at call
+    time)."""
+    if q > VERIFY_MAX_Q:
+        raise CostGuardError(f"verifier refused for q={q} > {VERIFY_MAX_Q}")
+
+
+def _prepare(q: int, A: int, delta: int) -> tuple[PrimeField, TruncationPlan, _EulerContext]:
     """Cost guard, field, truncation plan and Euler context for one q."""
-    if q > max_q:
-        raise CostGuardError(f"verifier refused for q={q} > {max_q}")
+    check_cost(q)
     plan = choose_plan(q, A, delta)
     field = build_field(q)
     return field, plan, _EulerContext(field, plan.P)
@@ -266,7 +270,7 @@ def moebius_tail(field: PrimeField, plan: TruncationPlan, l1_values) -> float:
     return fsum(np.log(l1)) - _head_sum(ctx) + ctx.tail(plan.M, plan.K, 1)
 
 
-def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8, max_q: int = VERIFY_MAX_Q) -> SigmaSplit:
+def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
     """Recompute log R(q) from prime sums, truncation certified to 10^-delta.
 
     log_R_check = head_sum + moebius_tail, whose km=1 term is
@@ -280,7 +284,7 @@ def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8, max_q: int = VERIFY
     the same machinery, with the prime part as the difference (re-rounded
     so the stored identity is bit-exact).
     """
-    field, plan, ctx = _prepare(q, A, delta, max_q)
+    field, plan, ctx = _prepare(q, A, delta)
     from .ratio import naive_l1_magnitudes
 
     total = fsum(np.log(naive_l1_magnitudes(field))) + ctx.tail(plan.M, plan.K, 1)
@@ -310,22 +314,20 @@ def _power_sum_ctx(ctx: _EulerContext, plan: TruncationPlan) -> float:
     return value
 
 
-def prime_power_sum(q: int, A: int = DEFAULT_A, delta: int = 8, max_q: int = VERIFY_MAX_Q) -> float:
+def prime_power_sum(q: int, A: int = DEFAULT_A, delta: int = 8) -> float:
     """The prime-power part of log R(q), certified to 10^-delta."""
-    _, plan, ctx = _prepare(q, A, delta, max_q)
+    _, plan, ctx = _prepare(q, A, delta)
     return _power_sum_ctx(ctx, plan)
 
 
-def prime_sum_split(
-    q: int, log_R: float, A: int = DEFAULT_A, delta: int = 8, max_q: int = VERIFY_MAX_Q
-) -> SigmaSplit:
+def prime_sum_split(q: int, log_R: float, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
     """Prime part of log R(q), computed two independent ways.
 
     Direct: exact head sum_{p<=P} (sum over chi of chi(p))/p plus the
     m=1-only Moebius tail.  Indirect: log_R minus the certified prime-power
     part.  Disagreement beyond 2*10^-delta (plus rounding headroom) raises.
     """
-    field, plan, ctx = _prepare(q, A, delta, max_q)
+    field, plan, ctx = _prepare(q, A, delta)
     from .ratio import naive_l1_magnitudes
 
     n = field.n

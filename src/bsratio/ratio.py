@@ -18,9 +18,12 @@ Three routes to the same number:
               shared; the oracle for both.  Only the bins a parity class
               consumes are summed, in sqrt(q)-blocks (_naive_abs_sums).
 
-All assembly sums go through math.fsum: the parity prefactors grow like
-q log q while log R stays O(1), so the final additions cancel massively
-and plain accumulation would lose the 1e-10 cross-method target.
+Each route ends in _record, the single assembly step: it takes the
+magnitudes of each parity class with their prefactor and weights, guards
+against a degenerate spectrum, sums the logs and computes err_est.  Its
+sums go through math.fsum: the parity prefactors grow like q log q while
+log R stays O(1), so the final additions cancel massively and plain
+accumulation would lose the 1e-10 cross-method target.
 """
 
 from __future__ import annotations
@@ -52,12 +55,18 @@ class Method(enum.Enum):
 @dataclass(frozen=True)
 class RatioRecord:
     q: int
-    log_R: float
-    R: float
     odd_part: float
     even_part: float
     method: Method
     err_est: float
+
+    @property
+    def log_R(self) -> float:
+        return self.odd_part + self.even_part
+
+    @property
+    def R(self) -> float:
+        return math.exp(self.log_R)
 
 
 def _linear_weights(q: int) -> np.ndarray:
@@ -84,13 +93,6 @@ def _guard_bins(mag: np.ndarray, q: int, what: str) -> None:
         )
 
 
-def _class_log_sum(pref: float, mag: np.ndarray, q: int, what: str, weight=1.0) -> float:
-    """pref + sum of weight * log(mag), the log L(1, chi) total of one parity
-    class; weight is 2 for a bin that stands for a conjugate pair."""
-    _guard_bins(mag, q, what)
-    return math.fsum([pref] + (weight * np.log(mag)).tolist())
-
-
 def _odd_pref(q: int) -> float:
     # log L(1,chi) = log(pi/sqrt q) + log|sum_a (a/q) chi(a)| for odd chi
     return ((q - 1) / 2) * (math.log(math.pi) - math.log(q) / 2)
@@ -108,79 +110,52 @@ def _paired_bins(spec: np.ndarray, lo: int, s: int) -> tuple[np.ndarray, np.ndar
     return np.abs(spec[m]), np.where(2 * m == s, 1.0, 2.0)
 
 
-_Budget = tuple[float, np.ndarray, np.ndarray | float]  # (sum|x|, consumed bins, their weights)
+def _record(q: int, method: Method, n: int, odd: tuple, even: tuple) -> RatioRecord:
+    """The one assembly step from spectrum magnitudes to a RatioRecord.
 
-
-def _odd_class(field: PrimeField) -> tuple[float, _Budget]:
-    """Sum of log L(1, chi) over the odd characters, and its error budget
-    term.  |sum_a (a/q) chi(a)| is logged once per conjugate pair.
-
-    For odd chi_{2m+1} the terms at k and k + h combine to
-    ((2 a_k - q)/q) e((2m+1)k/(q-1)), so the sum is conj(D[m]) with D the
-    length-h transform of d; D[h-1-m] = conj(D[m]).
+    Each parity class is (pref, |S_j|, w, sum|x|): its part of log R is
+    pref + sum_j w_j log|S_j|, with w_j the number of characters bin j
+    stands for.  err_est is the forward budget 4 eps log2(n) sum|x|
+    sum_j w_j/|S_j| over both classes (per-bin FFT error ~ eps log2(n)
+    sum|x| for a length-n transform of x, relative to each consumed bin);
+    heuristic, not certified.  sum|x| = 0 marks magnitudes that no
+    transform produced, which carry no budget.
     """
-    q, h = field.q, field.n // 2
-    k = np.arange(h)
-    d = ((2 * field.pow_table[:h] - q) / q) * np.exp((-2j * np.pi / field.n) * k)
-    mag, w = _paired_bins(fft.dft_fast(d), 0, h - 1)
-    return _class_log_sum(_odd_pref(q), mag, q, "odd", w), (float(np.sum(np.abs(d))), mag, w)
-
-
-def _even_class(field: PrimeField) -> tuple[float, _Budget]:
-    """Sum of log L(1, chi) over the even nonprincipal characters (q > 3),
-    and its error budget term.  |sum_a chi(a) log Gamma(a/q)| is logged
-    once per conjugate pair.
-
-    For even chi_{2m} the terms at k and k + h combine, by the reflection
-    formula, to (log pi - y_k) e(-mk/h), and the constant drops out for
-    m != 0: the sum is -Y[m] with Y the length-h transform of y, and
-    Y[h-m] = conj(Y[m]).  b_k <= h keeps sin well conditioned (at a = q-1,
-    sin(pi a/q) would lose about q eps of relative accuracy).
-    """
-    q, h = field.q, field.n // 2
-    a = field.pow_table[:h]
-    y = np.log(np.sin((np.pi / q) * np.minimum(a, q - a)))
-    mag, w = _paired_bins(fft.dft_fast(y), 1, h)
-    return _class_log_sum(_even_pref(q), mag, q, "even", w), (float(np.sum(np.abs(y))), mag, w)
-
-
-def _err_estimate(n: int, contributions: list[_Budget]) -> float:
-    # forward budget: per-bin FFT error ~ eps log2(n) sum|x| for a length-n
-    # transform of x, relative to each consumed bin (weighted by the bins it
-    # stands for); heuristic, not certified
-    total = 0.0
-    for sum_abs_x, mags, weight in contributions:
-        if mags.size:
-            total += sum_abs_x * float(np.sum(weight / mags))
-    return float(4.0 * _EPS * math.log2(max(n, 2)) * total)
+    parts, budget = [], 0.0
+    for what, (pref, mag, w, sum_abs_x) in (("odd", odd), ("even", even)):
+        _guard_bins(mag, q, what)
+        parts.append(math.fsum([pref] + (w * np.log(mag)).tolist()))
+        budget += sum_abs_x * float(np.sum(w / mag))
+    err_est = float(4.0 * _EPS * math.log2(max(n, 2)) * budget)
+    return RatioRecord(q, parts[0], parts[1], method, err_est)
 
 
 def log_ratio_fft(field: PrimeField) -> RatioRecord:
-    """Production route: each parity class from one length-(q-1)/2 transform.
+    """Production route: each parity class from one length-h transform,
+    h = (q-1)/2.  See the module docstring for the fold.
 
-    Both transforms go through fft.dft_fast, so the second reuses the chirp
-    kernel the first one built (unless (q-1)/2 is a power of two, which
-    needs none).  See the module docstring for the fold.
+    Odd class: for odd chi_{2m+1} the terms at k and k + h combine to
+    ((2 a_k - q)/q) e((2m+1)k/(q-1)), so the sum is conj(D[m]) with D the
+    transform of d; D[h-1-m] = conj(D[m]).
+
+    Even class: for even chi_{2m} the terms at k and k + h combine, by the
+    reflection formula, to (log pi - y_k) e(-mk/h), and the constant drops
+    out for m != 0: the sum is -Y[m] with Y the transform of y, and
+    Y[h-m] = conj(Y[m]).  b_k <= h keeps sin well conditioned (at a = q-1,
+    sin(pi a/q) would lose about q eps of relative accuracy).  At q = 3
+    the class is empty.
+
+    Each magnitude is logged once per conjugate pair.  Both transforms go
+    through fft.dft_fast, so the second reuses the chirp kernel the first
+    one built (unless h is a power of two, which needs none).
     """
-    q = field.q
-    odd_part, budget = _odd_class(field)
-    contributions = [budget]
-    if q == 3:
-        even_part = 0.0
-    else:
-        even_part, budget = _even_class(field)
-        contributions.append(budget)
-
-    log_R = odd_part + even_part
-    return RatioRecord(
-        q=q,
-        log_R=log_R,
-        R=math.exp(log_R),
-        odd_part=odd_part,
-        even_part=even_part,
-        method=Method.FFT,
-        err_est=_err_estimate(field.n // 2, contributions),
-    )
+    q, h = field.q, field.n // 2
+    a = field.pow_table[:h]
+    d = ((2 * a - q) / q) * np.exp((-2j * np.pi / field.n) * np.arange(h))
+    y = np.log(np.sin((np.pi / q) * np.minimum(a, q - a)))
+    odd = (_odd_pref(q), *_paired_bins(fft.dft_fast(d), 0, h - 1), float(np.sum(np.abs(d))))
+    even = (_even_pref(q), *_paired_bins(fft.dft_fast(y), 1, h), float(np.sum(np.abs(y))))
+    return _record(q, Method.FFT, h, odd, even)
 
 
 def log_ratio_digamma(field: PrimeField) -> RatioRecord:
@@ -188,23 +163,11 @@ def log_ratio_digamma(field: PrimeField) -> RatioRecord:
     q = field.q
     f = _digamma_weights(q)
     spec = fft.char_spectrum(field, f)
-    mag_odd = np.abs(spec[1::2])  # chi_j(-1) = (-1)^j
-    mag_even = np.abs(spec[2::2])
-    # log|L(1,chi_j)| = -log q + log|S_j|, split by parity class
-    odd_part = _class_log_sum(-((q - 1) / 2) * math.log(q), mag_odd, q, "odd")
-    even_part = _class_log_sum(-((q - 3) / 2) * math.log(q), mag_even, q, "even") if q > 3 else 0.0
-    log_R = odd_part + even_part
     sum_abs_f = float(np.sum(np.abs(f)))
-    err = _err_estimate(q - 1, [(sum_abs_f, mag_odd, 1.0), (sum_abs_f, mag_even, 1.0)])
-    return RatioRecord(
-        q=q,
-        log_R=log_R,
-        R=math.exp(log_R),
-        odd_part=odd_part,
-        even_part=even_part,
-        method=Method.DIGAMMA,
-        err_est=err,
-    )
+    # log|L(1,chi_j)| = -log q + log|S_j|, split by parity class: chi_j(-1) = (-1)^j
+    odd = (-((q - 1) / 2) * math.log(q), np.abs(spec[1::2]), 1.0, sum_abs_f)
+    even = (-((q - 3) / 2) * math.log(q), np.abs(spec[2::2]), 1.0, sum_abs_f)
+    return _record(q, Method.DIGAMMA, q - 1, odd, even)
 
 
 def _naive_abs_sums(field: PrimeField) -> np.ndarray:
@@ -246,18 +209,10 @@ def log_ratio_naive(field: PrimeField) -> RatioRecord:
     if q > NAIVE_MAX_Q:
         raise CostGuardError(f"naive method refused for q={q} > {NAIVE_MAX_Q}")
     abs_s = _naive_abs_sums(field)
-    odd_part = _class_log_sum(_odd_pref(q), abs_s[1::2], q, "odd")
-    even_part = _class_log_sum(_even_pref(q), abs_s[2::2], q, "even")  # empty for q = 3
-    log_R = odd_part + even_part
-    return RatioRecord(
-        q=q,
-        log_R=log_R,
-        R=math.exp(log_R),
-        odd_part=odd_part,
-        even_part=even_part,
-        method=Method.NAIVE,
-        err_est=0.0,
-    )
+    # no transform, so no rounding budget; the even class is empty at q = 3
+    odd = (_odd_pref(q), abs_s[1::2], 1.0, 0.0)
+    even = (_even_pref(q), abs_s[2::2], 1.0, 0.0)
+    return _record(q, Method.NAIVE, field.n, odd, even)
 
 
 def naive_l1_magnitudes(field: PrimeField) -> np.ndarray:

@@ -1,0 +1,68 @@
+"""The names the benchmark's traced runs read from the program.
+
+perfbench/rep.py wraps layer functions by name and reports one value per
+layer on its last stdout line, as JSON.  A layer that is renamed away or
+never called shows up as a missing name or a null or non-finite value,
+which the benchmark cannot parse as a metric.  This runs the traced
+sweep-small-q and verify-sample bodies in-process on tiny inputs.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+REP_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "rep.py"
+
+
+@pytest.fixture(scope="module")
+def rep():
+    spec = importlib.util.spec_from_file_location("perfbench_rep", REP_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced(rep, workload, spec, csv_path, probe=False):
+    tracer = rep.Tracer()
+    l1_by_q: dict = {}
+    calls0 = rep.chirp_cache_info()
+    try:
+        rep.install(tracer, l1_by_q)
+        body_idx = tracer.open("body")
+        rep.run_body(workload, spec, str(csv_path), 1)
+        tracer.close(body_idx)
+        probe_idx = None
+        if probe:
+            probe_idx = len(tracer.spans)
+            rep.probe_primesum(tracer, spec["qs"], l1_by_q)
+    finally:
+        tracer.unwrap()
+    calls1 = rep.chirp_cache_info()
+    return tracer, rep.layer_metrics(tracer.spans, body_idx, probe_idx), calls0, calls1
+
+
+def _assert_contract(tracer, layers, calls0, calls1):
+    assert tracer.missing == []
+    for name, value in layers.items():
+        assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)
+    json.dumps(layers, allow_nan=False)
+    assert calls1.hits + calls1.misses > calls0.hits + calls0.misses
+
+
+def test_traced_small_q_sweep(rep, tmp_path):
+    spec = dict(q_lo=3, q_hi=200, threads=1)
+    _assert_contract(*_traced(rep, "sweep-small-q", spec, tmp_path / "sweep.csv"))
+
+
+def test_traced_verify_sample_with_probes(rep, tmp_path):
+    tracer, layers, calls0, calls1 = _traced(
+        rep, "verify-sample", dict(qs=[101, 211]), tmp_path / "verify.out", probe=True
+    )
+    _assert_contract(tracer, layers, calls0, calls1)
+    for name in ("primesum.head_sum_s", "primesum.moebius_tail_s", "primesum.prime_power_sum_s"):
+        assert layers[name] > 0.0, name

@@ -1,8 +1,9 @@
 import pytest
 
-from bsratio import primesum, ratio
+from bsratio import bounds, pipeline, primesum, ratio
 from bsratio.cli import main
 from bsratio.errors import VerificationError
+from bsratio.ntheory import sieve_primes
 
 ABOVE_GUARD = 5003  # the least prime above primesum.VERIFY_MAX_Q = 5000
 
@@ -16,12 +17,13 @@ def test_cost_guard_exits_2(command, capsys):
     assert "Traceback" not in out + err
 
 
-def test_verify_guard_before_fft_route(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["verify", "sigma"])
+def test_verify_guard_before_fft_route(command, monkeypatch, capsys):
     def no_fft(field):
         raise AssertionError("log_ratio_fft ran before the cost guard")
 
     monkeypatch.setattr(ratio, "log_ratio_fft", no_fft)
-    assert main(["verify", "--q", str(ABOVE_GUARD)]) == 2
+    assert main([command, "--q", str(ABOVE_GUARD)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -73,3 +75,24 @@ def test_compute_damaged_resume_exits_2(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in out + err
     assert damaged.read_text() == "not,the,header\n"
+
+
+def test_bounds_report(tmp_path, capsys):
+    csv = tmp_path / "r.csv"
+    assert main(["compute", "--from", "3", "--to", "1100", "--out", str(csv)]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--in", str(csv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "q,simple_bound,refined_bound,envelope_ok,normalized_ok"
+    primes = [int(p) for p in sieve_primes(1100)[1:]]
+    assert [int(line.split(",")[0]) for line in lines[1:-1]] == primes
+    rows = pipeline.load_rows(csv)
+    n_env = sum(bounds.check_envelope(row) for row in rows)
+    n_band = sum(bounds.normalized_in_band(row) for row in rows)
+    n = len(primes)
+    assert lines[-1] == f"# envelope ok: {n_env}/{n}   normalized band ok: {n_band}/{n}"
+
+    assert main(["bounds", "--in", str(csv), "--dusart-x", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err

@@ -215,6 +215,12 @@ class TestVerifyRatio:
         with pytest.raises(CostGuardError):
             verify_ratio(5003)
 
+    def test_cost_guard_reads_limit_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(primesum, "VERIFY_MAX_Q", 100)
+        for call in (verify_ratio, prime_power_sum, lambda q: prime_sum_split(q, 0.0)):
+            with pytest.raises(CostGuardError, match="q=101 > 100"):
+                call(101)
+
     def test_each_orbit_sum_once(self, monkeypatch):
         # q=4903 under the default plan A=20, delta=8: P=98060, M=K=3.  The
         # m >= 1 tail needs T(4), T(6), T(9) (u=2, 3 cancel to zero); the
