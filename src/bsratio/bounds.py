@@ -29,7 +29,6 @@ class BoundReport:
     refined_bound: float
     envelope_ok: bool
     normalized_ok: bool
-    sigma2_ok: bool | None = None
 
 
 def simple_bound(q: int) -> float:
@@ -114,17 +113,13 @@ def check_dusart(x: float) -> bool:
     return abs(s - math.log(math.log(x)) - m) <= 0.2 / math.log(x) ** 3
 
 
-def report_for(record, sigma2: float | None = None) -> BoundReport:
+def report_for(record) -> BoundReport:
     """Assemble the per-q bound report row; reads only record.q and
     record.R."""
-    s2_ok = None
-    if sigma2 is not None:
-        s2_ok = abs(sigma2) <= simple_bound(record.q)
     return BoundReport(
         q=record.q,
         simple_bound=simple_bound(record.q),
         refined_bound=refined_bound(record.q),
         envelope_ok=check_envelope(record),
         normalized_ok=normalized_in_band(record),
-        sigma2_ok=s2_ok,
     )

@@ -29,13 +29,14 @@ from math import fsum, gcd
 import numpy as np
 from scipy import special as sp
 
+from .bounds import simple_bound
 from .errors import CostGuardError, VerificationError
 from .fft import char_spectrum
 from .ntheory import PrimeField, build_field, moebius, sieve_primes
 from .specfun import constants_table, prime_zeta
 
 DEFAULT_A = 20
-VERIFY_MAX_Q = 5000
+VERIFY_MAX_Q = 100_000
 
 _EPS = np.finfo(np.float64).eps
 
@@ -305,8 +306,7 @@ def _power_sum_ctx(ctx: _EulerContext, plan: TruncationPlan) -> float:
         all_m = -np.log1p(-1.0 / p) - 1.0 / p
         on_orbit = np.where(e >= 2, -np.log1p(-(p**-e)) / e, all_m)
     value = fsum(n * on_orbit - all_m) + ctx.tail(plan.M, plan.K, 2)
-    consts = constants_table()
-    bound = consts.power_sum_constant + (math.pi**2 / 6 - consts.power_sum_constant) / field.q
+    bound = simple_bound(field.q)
     if abs(value) > bound + 10.0 ** (-plan.delta):
         raise VerificationError(
             f"q={field.q}: |prime-power sum| = {abs(value):.6f} violates bound {bound:.6f}"

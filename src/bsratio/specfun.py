@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
+
+from .ntheory import moebius
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -57,8 +58,6 @@ def prime_zeta(s: int) -> float:
     """
     if s < 2:
         raise ValueError("prime_zeta requires s >= 2")
-    from .ntheory import moebius
-
     total = 0.0
     k = 1
     while True:
@@ -79,22 +78,23 @@ def prime_zeta(s: int) -> float:
 _A_HEAD_CUTOFF = 10**6
 
 
-def _a_tail_density(x: np.ndarray | float):
-    # asymptotic psi(a)/a with a = x(x-1)/2; error O(a^-4)/a per point
-    a = 0.5 * (x * x - x)
-    pa = np.log(a) - 1.0 / (2.0 * a) - 1.0 / (12.0 * a * a)
-    return pa / a
-
-
 @lru_cache(maxsize=1)
 def power_sum_constant() -> float:
     """Limit constant of the prime-power congruence-sum bound.
 
     A = sum_{m>=2} (1/m) sum_{k=m(m-1)/2}^{m(m+1)/2 - 1} 1/k, evaluated via
     the equivalent series  gamma/2 + (1/2) sum_{j>=3} psi(a(j))/a(j)  with
-    a(j) = j(j-1)/2: exact digamma head to j = 1e6, then an Euler-Maclaurin
-    tail on the asymptotic digamma expansion (quadrature in log space plus
-    h/2 - h'/12 corrections).  Good to ~1e-13 absolute.
+    a(j) = j(j-1)/2: exact digamma head to j = J = 1e6, then the
+    Euler-Maclaurin tail in closed form.  With f(x) = psi(a)/a,
+    f(x) = (4 log x - 2 log 2)/x^2 + (4 log x - 2 log 2 - 2)/x^3
+    + O(log x/x^4), so
+
+        sum_{j>J} f(j) = (4 log J + 4 - 2 log 2)/J + (2 log J - log 2)/J^2
+                         - f(J)/2 + O(log J/J^3).
+
+    The dropped terms (the x^-4 integral and f'(J)/12) are ~1e-17 at
+    J = 1e6 (the tail is 2.5e-17 from a 40-digit reference), below the
+    rounding of the head.
     """
     head = 0.0
     comp = 0.0
@@ -108,15 +108,10 @@ def power_sum_constant() -> float:
         comp = (t - head) - y
         head = t
 
-    a0 = float(_A_HEAD_CUTOFF + 1)
-    integrand = lambda u: float(_a_tail_density(math.exp(u)) * math.exp(u))
-    integral, _ = integrate.quad(
-        integrand, math.log(a0), math.log(a0) + 60.0, epsabs=1e-18, epsrel=1e-13, limit=400
-    )
-    h0 = float(_a_tail_density(a0))
-    eps = a0 * 1e-5
-    hp = (float(_a_tail_density(a0 + eps)) - float(_a_tail_density(a0 - eps))) / (2 * eps)
-    tail = integral + h0 / 2.0 - hp / 12.0
+    J = float(_A_HEAD_CUTOFF)
+    aJ = 0.5 * (J * J - J)
+    lJ, l2 = math.log(J), math.log(2.0)
+    tail = (4 * lJ + 4 - 2 * l2) / J + (2 * lJ - l2) / (J * J) - float(sp.psi(aJ)) / aJ / 2
     return EULER_GAMMA / 2.0 + 0.5 * (head + tail)
 
 

@@ -5,7 +5,7 @@ from bsratio.cli import main
 from bsratio.errors import VerificationError
 from bsratio.ntheory import sieve_primes
 
-ABOVE_GUARD = 5003  # the least prime above primesum.VERIFY_MAX_Q = 5000
+ABOVE_GUARD = 100003  # the least prime above primesum.VERIFY_MAX_Q = 100000
 
 
 @pytest.mark.parametrize("command", ["verify", "sigma"])

@@ -193,7 +193,8 @@ class TestVerifyRatio:
         split = verify_ratio(3, delta=8)
         assert split.total == pytest.approx(LOG_R3, abs=1e-8)
 
-    @pytest.mark.parametrize("q,delta", [(101, 8), (499, 6)])
+    # 30011 and 99991 reach up to the cost guard, VERIFY_MAX_Q = 1e5
+    @pytest.mark.parametrize("q,delta", [(101, 8), (499, 6), (30011, 8), (99991, 8)])
     def test_cross_path(self, field, q, delta):
         split = verify_ratio(q, delta=delta)
         rec = log_ratio_fft(field(q))
@@ -213,7 +214,7 @@ class TestVerifyRatio:
 
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
-            verify_ratio(5003)
+            verify_ratio(100003)
 
     def test_cost_guard_reads_limit_at_call_time(self, monkeypatch):
         monkeypatch.setattr(primesum, "VERIFY_MAX_Q", 100)

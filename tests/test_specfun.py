@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import bsratio
 from bsratio.specfun import (
     EULER_GAMMA,
     constants_table,
@@ -238,3 +243,17 @@ class TestConstantsTable:
         assert abs(t.meissel_mertens - 0.2614972128) <= 1e-10
         assert abs(t.power_sum_constant - 1.6000883438) <= 1e-9
         assert t.k_opt == 55
+
+    def test_import_loads_no_quadrature_or_optimizer(self):
+        # the package needs scipy.special and scipy.fft only; scipy.integrate
+        # would drag in scipy.optimize and scipy.sparse on every import
+        src = str(Path(bsratio.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, bsratio; bsratio.specfun.constants_table(); "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
