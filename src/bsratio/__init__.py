@@ -22,7 +22,6 @@ from .primesum import (
     head_sum,
     moebius_tail,
     prime_power_sum,
-    prime_sum_split,
     truncated_log_L,
     verify_ratio,
 )

@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Subcommands: compute, verify, sigma, constants, hreg, stats, bounds.
+`verify` and `sigma` are two reports on one verifier pass: the prime-sum
+total of primesum.verify_ratio, with its prime / prime-power split, checked
+against the FFT route's log R(q).  main is the one error boundary: bad
+input exits 2, a failed check exits 1.
 """
 
 from __future__ import annotations
@@ -18,23 +22,29 @@ from .specfun import constants_table
 
 def _require_odd_prime(q: int) -> int:
     if q < 3 or not is_prime(q):
-        raise SystemExit(f"error: q={q} is not an odd prime")
+        raise ValueError(f"q={q} is not an odd prime")
     return q
 
 
+def _verifier_pass(args):
+    """The prime-sum split of log R(q) (cost guard first, so a refused q
+    never reaches the FFT), the FFT route's record, and the gap between
+    the two totals."""
+    q = _require_odd_prime(args.q)
+    split = primesum.verify_ratio(q, A=args.A, delta=args.delta)
+    rec = ratio.log_ratio_fft(build_field(q))
+    return split, rec, abs(split.total - rec.log_R)
+
+
 def _cmd_compute(args) -> int:
-    try:
-        manifest = pipeline.compute_range(
-            args.from_q,
-            args.to_q,
-            out=args.out,
-            threads=args.threads,
-            resume=args.resume,
-            paranoid=args.paranoid,
-        )
-    except ValueError as exc:  # a bad range, or a damaged file under --resume
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    manifest = pipeline.compute_range(
+        args.from_q,
+        args.to_q,
+        out=args.out,
+        threads=args.threads,
+        resume=args.resume,
+        paranoid=args.paranoid,
+    )
     print(
         f"range [{manifest.range[0]}, {manifest.range[1]}] -> {manifest.output_path} "
         f"(completed through {manifest.completed_through}, threads={manifest.thread_count})"
@@ -43,20 +53,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q = _require_odd_prime(args.q)
-    try:
-        split = primesum.verify_ratio(q, A=args.A, delta=args.delta)
-    except ValueError as exc:  # cost guard or a bad --A/--delta
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VerificationError as exc:
-        print(f"FAIL: {exc}")
-        return 1
-    rec = ratio.log_ratio_fft(build_field(q))
-    diff = abs(split.total - rec.log_R)
+    split, rec, diff = _verifier_pass(args)
     tol = 10.0 ** (-args.delta) + rec.err_est
     plan = split.plan
-    print(f"q={q} A={plan.A} P={plan.P} M={plan.M} K={plan.K} delta={plan.delta}")
+    print(f"q={split.q} A={plan.A} P={plan.P} M={plan.M} K={plan.K} delta={plan.delta}")
     print("checks     fft route against direct O(q^2) L(1,chi) sums + truncated Euler product")
     print(f"fft        {rec.log_R!r}")
     print(f"prime-sum  {split.total!r}")
@@ -71,24 +71,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    q = _require_odd_prime(args.q)
-    try:
-        primesum.check_cost(q)
-        rec = ratio.log_ratio_fft(build_field(q))
-        split = primesum.prime_sum_split(q, rec.log_R, A=args.A, delta=args.delta)
-    except ValueError as exc:  # cost guard or a bad --A/--delta
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VerificationError as exc:
-        print(f"FAIL: {exc}")
-        return 1
-    bound = bounds_mod.simple_bound(q)
-    print(f"q={q} delta={split.plan.delta}")
+    split, rec, diff = _verifier_pass(args)
+    tol = 2.0 * 10.0 ** (-args.delta) + 1e-10
+    if diff > tol:
+        raise VerificationError(
+            f"q={split.q}: prime-sum total and fft log R differ by {diff:.3e} > {tol:.3e}"
+        )
+    print(f"q={split.q} delta={split.plan.delta}")
     print(f"sigma1 (primes)        {split.prime_sum!r}")
     print(f"sigma2 (prime powers)  {split.power_sum!r}")
     print(f"sum                    {split.total!r}")
     print(f"log R (fft)            {rec.log_R!r}")
-    print(f"|sigma2| bound         {bound!r}  ok={abs(split.power_sum) <= bound}")
+    print(f"|sigma2| bound         {bounds_mod.simple_bound(split.q)!r}")
     return 0
 
 
@@ -156,11 +150,7 @@ def _cmd_bounds(args) -> int:
         )
     print(f"# envelope ok: {n_env}/{len(rows)}   normalized band ok: {n_band}/{len(rows)}")
     if args.dusart_x is not None:
-        try:
-            ok = bounds_mod.check_dusart(args.dusart_x)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        ok = bounds_mod.check_dusart(args.dusart_x)
         print(f"# dusart at x={args.dusart_x}: {'ok' if ok else 'VIOLATED'}")
         if not ok:
             return 1
@@ -214,7 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VerificationError as exc:
+        print(f"FAIL: {exc}")
+        return 1
+    except (ValueError, OSError) as exc:  # bad input, cost guard, damaged or missing file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,12 @@ over all characters, chi_{ju}(p) = e(ju*dlog(p)/n) sweeps the (n/g)-th
 roots of unity g = gcd(u*dlog(p), n) times each, and
 prod_{t<m} (1 - e(t/m) x) = 1 - x^m collapses every inner product to a
 real log.  That keeps the whole verifier O(#distinct km * (q log q + pi(P))).
+
+verify_ratio also splits its total into a prime part sigma1 and a
+prime-power part sigma2: sigma2 is a closed-form head over p <= P plus the
+m >= 2 tail, and sigma1 is the difference.  Summing sigma1 "directly" (the
+head sum_{p<=P} (sum_chi chi(p))/p plus the m = 1 tail) only rearranges the
+same terms, so it would be no independent check and is not computed.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .bounds import simple_bound
 from .errors import CostGuardError, VerificationError
 from .fft import char_spectrum
 from .ntheory import PrimeField, build_field, moebius, sieve_primes
-from .specfun import constants_table, prime_zeta
+from .specfun import constants_table
 
 DEFAULT_A = 20
 VERIFY_MAX_Q = 100_000
@@ -161,16 +167,11 @@ class _EulerContext:
         return total
 
 
-def check_cost(q: int) -> None:
-    """The verifier's cost guard: refuse q above VERIFY_MAX_Q (read at call
-    time)."""
+def _prepare(q: int, A: int, delta: int) -> tuple[PrimeField, TruncationPlan, _EulerContext]:
+    """Cost guard (VERIFY_MAX_Q, read at call time), field, truncation plan
+    and Euler context for one q."""
     if q > VERIFY_MAX_Q:
         raise CostGuardError(f"verifier refused for q={q} > {VERIFY_MAX_Q}")
-
-
-def _prepare(q: int, A: int, delta: int) -> tuple[PrimeField, TruncationPlan, _EulerContext]:
-    """Cost guard, field, truncation plan and Euler context for one q."""
-    check_cost(q)
     plan = choose_plan(q, A, delta)
     field = build_field(q)
     return field, plan, _EulerContext(field, plan.P)
@@ -320,31 +321,6 @@ def prime_power_sum(q: int, A: int = DEFAULT_A, delta: int = 8) -> float:
     return _power_sum_ctx(ctx, plan)
 
 
-def prime_sum_split(q: int, log_R: float, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
-    """Prime part of log R(q), computed two independent ways.
-
-    Direct: exact head sum_{p<=P} (sum over chi of chi(p))/p plus the
-    m=1-only Moebius tail.  Indirect: log_R minus the certified prime-power
-    part.  Disagreement beyond 2*10^-delta (plus rounding headroom) raises.
-    """
-    field, plan, ctx = _prepare(q, A, delta)
-    from .ratio import naive_l1_magnitudes
-
-    n = field.n
-    e = n // np.gcd(ctx.dlogs, n)
-    head1 = fsum(np.where(e == 1, n - 1, -1) / ctx.pfloat)
-    direct = head1 + fsum(np.log(naive_l1_magnitudes(field))) - _head_sum(ctx)
-    direct += ctx.tail(1, plan.K, 1)
-    power = _power_sum_ctx(ctx, plan)
-    indirect = log_R - power
-    tol = 2.0 * 10.0 ** (-delta) + 1e-10
-    if abs(direct - indirect) > tol:
-        raise VerificationError(
-            f"q={q}: prime-part routes disagree by {abs(direct - indirect):.3e} > {tol:.3e}"
-        )
-    return SigmaSplit(q=q, prime_sum=direct, power_sum=power, total=direct + power, plan=plan)
-
-
 def mertens_constant_q1(split: SigmaSplit) -> float:
     """Mertens constant M(q,1) of the progression 1 mod q.
 
@@ -356,23 +332,9 @@ def mertens_constant_q1(split: SigmaSplit) -> float:
 
 
 def mertens_power_constant(q: int) -> float:
-    """B(q) = -sum_{m>=2} (1/m) sum_{p != q} p^-m for an odd prime q.
-
-    Evaluated both from prime-zeta differences and from the closed form
-    M - gamma - (log(1-1/q) + 1/q); the two must agree to 1e-10.
-    """
+    """B(q) = -sum_{m>=2} (1/m) sum_{p != q} p^-m for an odd prime q, in the
+    closed form M - gamma - (log(1-1/q) + 1/q)."""
     if q < 3 or q % 2 == 0:
         raise ValueError("q must be an odd prime")
-    series = 0.0
-    for m in range(2, 60):
-        pm = prime_zeta(m) - float(q) ** (-m)
-        if pm == 0.0 and m > 4:
-            break
-        series -= pm / m
     consts = constants_table()
-    closed = consts.meissel_mertens - consts.euler_gamma - (math.log1p(-1.0 / q) + 1.0 / q)
-    if abs(series - closed) > 1e-10:
-        raise VerificationError(
-            f"B({q}) forms disagree: series {series!r} vs closed {closed!r}"
-        )
-    return closed
+    return consts.meissel_mertens - consts.euler_gamma - (math.log1p(-1.0 / q) + 1.0 / q)

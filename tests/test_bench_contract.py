@@ -3,8 +3,10 @@
 perfbench/rep.py wraps layer functions by name and reports one value per
 layer on its last stdout line, as JSON.  A layer that is renamed away or
 never called shows up as a missing name or a null or non-finite value,
-which the benchmark cannot parse as a metric.  This runs the traced
-sweep-small-q and verify-sample bodies in-process on tiny inputs.
+which the benchmark cannot parse as a metric.  So can the values a
+traced run adds outside layer_metrics: the chirp-cache counters and the
+memory the cache retains.  This runs the traced sweep-small-q and
+verify-sample bodies in-process on tiny inputs.
 """
 
 from __future__ import annotations
@@ -43,14 +45,18 @@ def _traced(rep, workload, spec, csv_path, probe=False):
     finally:
         tracer.unwrap()
     calls1 = rep.chirp_cache_info()
-    return tracer, rep.layer_metrics(tracer.spans, body_idx, probe_idx), calls0, calls1
+    layers = rep.layer_metrics(tracer.spans, body_idx, probe_idx)
+    layers["fft.chirp_cache_retained_mb"] = rep.chirp_retained_mb()
+    return tracer, layers, calls0, calls1
 
 
 def _assert_contract(tracer, layers, calls0, calls1):
     assert tracer.missing == []
     for name, value in layers.items():
         assert isinstance(value, (int, float)) and math.isfinite(value), (name, value)
+    assert isinstance(layers["fft.chirp_cache_retained_mb"], float)
     json.dumps(layers, allow_nan=False)
+    assert calls0 is not None and calls1 is not None
     assert calls1.hits + calls1.misses > calls0.hits + calls0.misses
 
 

@@ -8,13 +8,17 @@ from bsratio.ntheory import sieve_primes
 ABOVE_GUARD = 100003  # the least prime above primesum.VERIFY_MAX_Q = 100000
 
 
-@pytest.mark.parametrize("command", ["verify", "sigma"])
-def test_cost_guard_exits_2(command, capsys):
-    assert main([command, "--q", str(ABOVE_GUARD)]) == 2
+def _assert_error_exit_2(argv, capsys) -> str:
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ")
-    assert str(ABOVE_GUARD) in err
     assert "Traceback" not in out + err
+    return err
+
+
+@pytest.mark.parametrize("command", ["verify", "sigma"])
+def test_cost_guard_exits_2(command, capsys):
+    assert str(ABOVE_GUARD) in _assert_error_exit_2([command, "--q", str(ABOVE_GUARD)], capsys)
 
 
 @pytest.mark.parametrize("command", ["verify", "sigma"])
@@ -27,7 +31,7 @@ def test_verify_guard_before_fft_route(command, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "command,target", [("verify", "verify_ratio"), ("sigma", "prime_sum_split")]
+    "command,target", [("verify", "verify_ratio"), ("sigma", "verify_ratio")]
 )
 def test_verification_error_is_fail_exit_1(command, target, monkeypatch, capsys):
     def disagree(*args, **kwargs):
@@ -47,22 +51,46 @@ def test_verify_pass_states_what_it_checks(capsys):
     assert out.rstrip().endswith("PASS")
 
 
+def test_sigma_reports_the_verifier_split(capsys):
+    assert main(["sigma", "--q", "101"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    split = primesum.verify_ratio(101)
+    assert lines[1:4] == [
+        f"sigma1 (primes)        {split.prime_sum!r}",
+        f"sigma2 (prime powers)  {split.power_sum!r}",
+        f"sum                    {split.total!r}",
+    ]
+    assert lines[-1] == f"|sigma2| bound         {bounds.simple_bound(101)!r}"
+
+
 @pytest.mark.parametrize("command", ["verify", "sigma"])
 @pytest.mark.parametrize("flag", ["--delta", "--A"])
 def test_bad_plan_argument_exits_2(command, flag, capsys):
-    assert main([command, "--q", "101", flag, "0"]) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error: ")
-    assert "Traceback" not in out + err
+    _assert_error_exit_2([command, "--q", "101", flag, "0"], capsys)
+
+
+@pytest.mark.parametrize("command", ["verify", "sigma", "hreg"])
+def test_not_an_odd_prime_exits_2(command, capsys):
+    assert "q=100 is not an odd prime" in _assert_error_exit_2([command, "--q", "100"], capsys)
+
+
+@pytest.mark.parametrize("command", ["stats", "bounds"])
+def test_bad_csv_exits_2(command, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("q,g,log_R\n3,2,-0.1\n")
+    _assert_error_exit_2([command, "--in", str(bad)], capsys)
+
+
+@pytest.mark.parametrize("command", ["stats", "bounds"])
+def test_missing_input_exits_2(command, tmp_path, capsys):
+    _assert_error_exit_2([command, "--in", str(tmp_path / "absent.csv")], capsys)
 
 
 @pytest.mark.parametrize("lo,hi", [(2, 100), (50, 40)])
 def test_compute_bad_range_exits_2(lo, hi, tmp_path, capsys):
     out_path = tmp_path / "r.csv"
-    assert main(["compute", "--from", str(lo), "--to", str(hi), "--out", str(out_path)]) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error: ")
-    assert "Traceback" not in out + err
+    argv = ["compute", "--from", str(lo), "--to", str(hi), "--out", str(out_path)]
+    _assert_error_exit_2(argv, capsys)
     assert not out_path.exists()
 
 
@@ -70,10 +98,7 @@ def test_compute_damaged_resume_exits_2(tmp_path, capsys):
     damaged = tmp_path / "r.csv"
     damaged.write_text("not,the,header\n")
     argv = ["compute", "--from", "3", "--to", "50", "--out", str(damaged), "--resume"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error: ")
-    assert "Traceback" not in out + err
+    _assert_error_exit_2(argv, capsys)
     assert damaged.read_text() == "not,the,header\n"
 
 
@@ -92,7 +117,4 @@ def test_bounds_report(tmp_path, capsys):
     n = len(primes)
     assert lines[-1] == f"# envelope ok: {n_env}/{n}   normalized band ok: {n_band}/{n}"
 
-    assert main(["bounds", "--in", str(csv), "--dusart-x", "10"]) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error: ")
-    assert "Traceback" not in out + err
+    _assert_error_exit_2(["bounds", "--in", str(csv), "--dusart-x", "10"], capsys)

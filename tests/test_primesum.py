@@ -12,7 +12,6 @@ from bsratio import (
     log_ratio_naive,
     moebius_tail,
     prime_power_sum,
-    prime_sum_split,
     sieve_primes,
     truncated_log_L,
     verify_ratio,
@@ -218,7 +217,7 @@ class TestVerifyRatio:
 
     def test_cost_guard_reads_limit_at_call_time(self, monkeypatch):
         monkeypatch.setattr(primesum, "VERIFY_MAX_Q", 100)
-        for call in (verify_ratio, prime_power_sum, lambda q: prime_sum_split(q, 0.0)):
+        for call in (verify_ratio, prime_power_sum):
             with pytest.raises(CostGuardError, match="q=101 > 100"):
                 call(101)
 
@@ -278,48 +277,43 @@ class TestPrimePowerSum:
 class TestPrimeSumSplit:
     def test_q101_dual_path(self, field):
         rec = log_ratio_fft(field(101))
-        split = prime_sum_split(101, rec.log_R, delta=8)
-        # direct route stored; must sit within 2e-8-ish of log_R - sigma2
+        split = verify_ratio(101, delta=8)
+        # the stored prime part must sit within 2e-8-ish of the fft log_R - sigma2
         assert abs(split.prime_sum - (rec.log_R - split.power_sum)) <= 2e-8 + rec.err_est
 
-    def test_q3_total(self, field):
-        rec = log_ratio_fft(field(3))
-        split = prime_sum_split(3, rec.log_R, delta=8)
+    def test_q3_total(self):
+        split = verify_ratio(3, delta=8)
         assert split.prime_sum + split.power_sum == pytest.approx(LOG_R3, abs=1e-7)
 
-    def test_sign_scan(self, field):
+    def test_sign_scan(self):
         negatives = 0
         qs = [int(q) for q in sieve_primes(100)[1:]]
         for q in qs:
-            rec = log_ratio_fft(field(q))
-            split = prime_sum_split(q, rec.log_R, delta=6)
+            split = verify_ratio(q, delta=6)
             negatives += split.prime_sum < 0
         assert negatives >= len(qs) * 0.8  # most small q have negative prime part
 
 
 class TestMertensConstants:
-    def test_algebraic_inversion(self, field):
-        rec = log_ratio_fft(field(101))
-        split = prime_sum_split(101, rec.log_R, delta=8)
+    def test_algebraic_inversion(self):
+        split = verify_ratio(101, delta=8)
         m_q1 = mertens_constant_q1(split)
         # reconstruct the defining relation exactly
         reconstructed = (101 - 1) * m_q1 - meissel_mertens() + 1.0 / 101
         assert reconstructed == pytest.approx(split.prime_sum, abs=1e-12)
 
-    def test_empirical_progression_sum(self, field):
+    def test_empirical_progression_sum(self):
         # sum of 1/p over p <= 1e7, p = 1 mod 101, against its asymptotic
-        rec = log_ratio_fft(field(101))
-        split = prime_sum_split(101, rec.log_R, delta=8)
+        split = verify_ratio(101, delta=8)
         m_q1 = mertens_constant_q1(split)
         primes = sieve_primes(10**7)
         sel = primes[primes % 101 == 1].astype(np.float64)
         empirical = fsum(1.0 / sel) - math.log(math.log(10**7)) / 100
         assert abs(empirical - m_q1) < 0.02
 
-    def test_scaled_boundedness(self, field):
+    def test_scaled_boundedness(self):
         for q in (101, 211, 499):
-            rec = log_ratio_fft(field(q))
-            split = prime_sum_split(q, rec.log_R, delta=6)
+            split = verify_ratio(q, delta=6)
             assert abs((q - 1) * mertens_constant_q1(split)) < 5.0
 
     def test_power_constant_q3_closed_form(self):
