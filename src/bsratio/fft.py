@@ -65,8 +65,8 @@ def _chirp_kernel(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     k^2 is reduced mod 2n in integer arithmetic before the trig call, so
     the argument never exceeds 2*pi and the twiddles stay accurate at any
-    length.  Cached per length: the two folded parity transforms of one q
-    share the length (q-1)/2, and the full-length spectra (digamma route,
+    length.  Cached per length: the production route runs one transform of
+    length (q-1)/2 per q, and the full-length spectra (digamma route,
     verifier) use q-1, so two entries cover every length one q touches;
     more would only hold memory.  Callers must treat the arrays as
     read-only.

@@ -3,14 +3,16 @@
 Three routes to the same number:
 
 * FFT      -- the production route.  With h = (q-1)/2 and a_k = g^k mod q,
-              a_{k+h} = q - a_k, so each parity class folds onto a
-              length-h sequence.  Odd characters come from the transform of
-              d_k = ((2 a_k - q)/q) e(-k/(q-1)); even ones, through the
-              reflection formula log Gamma(x) + log Gamma(1-x) =
-              log pi - log sin(pi x), from the transform of the
-              cyclotomic-unit weights y_k = log sin(pi b_k/q) with
-              b_k = min(a_k, q - a_k).  No log Gamma is evaluated, and one
-              bin of each conjugate pair is consumed, with weight 2.
+              a_{k+h} = q - a_k, so the real array x = (y + c, y - c),
+              c_k = (a_k - q/2)/q, y_k = log sin(pi min(a_k, q - a_k)/q),
+              carries both parity classes: in its transform the odd bins
+              are the (a/q)-sums of the odd characters and the even bins
+              j >= 2, by the reflection formula log Gamma(x) +
+              log Gamma(1-x) = log pi - log sin(pi x), -2 times their
+              log Gamma sums.  Bins 0..h (weight 2, bin h weight 1) come
+              from one complex length-h transform of z_k = x_{2k} +
+              i x_{2k+1} and the real-FFT split step; no log Gamma is
+              evaluated.
 * DIGAMMA  -- every character through sum_a chi(a) psi(a/q) on the full
               length-(q-1) spectrum; used as a cross-check of the FFT route.
 * NAIVE    -- the unfolded per-character sums (linear and log Gamma
@@ -20,7 +22,8 @@ Three routes to the same number:
 
 Each route ends in _record, the single assembly step: it takes the
 magnitudes of each parity class with their prefactor and weights, guards
-against a degenerate spectrum, sums the logs and computes err_est.  Its
+against a degenerate spectrum, sums the logs and computes err_est, a
+norm-wise budget for the one transform the magnitudes came from.  Its
 sums go through math.fsum: the parity prefactors grow like q log q while
 log R stays O(1), so the final additions cancel massively and plain
 accumulation would lose the 1e-10 cross-method target.
@@ -103,59 +106,93 @@ def _even_pref(q: int) -> float:
     return ((q - 3) / 2) * (math.log(2.0) - math.log(q) / 2)
 
 
-def _paired_bins(spec: np.ndarray, lo: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """|spec[m]| for lo <= m <= s/2, with weights: bins m and s - m are
-    conjugate, so each bin counts for its pair (2) unless m = s - m (1)."""
-    m = np.arange(lo, s // 2 + 1)
-    return np.abs(spec[m]), np.where(2 * m == s, 1.0, 2.0)
-
-
-def _record(q: int, method: Method, n: int, odd: tuple, even: tuple) -> RatioRecord:
+def _record(
+    q: int, method: Method, odd: tuple, even: tuple, signal: np.ndarray | None = None
+) -> RatioRecord:
     """The one assembly step from spectrum magnitudes to a RatioRecord.
 
-    Each parity class is (pref, |S_j|, w, sum|x|): its part of log R is
-    pref + sum_j w_j log|S_j|, with w_j the number of characters bin j
-    stands for.  err_est is the forward budget 4 eps log2(n) sum|x|
-    sum_j w_j/|S_j| over both classes (per-bin FFT error ~ eps log2(n)
-    sum|x| for a length-n transform of x, relative to each consumed bin);
-    heuristic, not certified.  sum|x| = 0 marks magnitudes that no
-    transform produced, which carry no budget.
+    Each parity class is (pref, |X_j|, w, s): its part of log R is
+    pref + sum_j w_j log(|X_j|/s), with w_j the number of characters bin j
+    stands for and s an exact power-of-two scale.  signal is the array the
+    one transform behind every |X_j| ran on, or None when no transform
+    produced them (then err_est = 0).
+
+    err_est is a norm-wise budget; heuristic, not certified.  With
+    n = q - 1 bins, L = len(signal) and x the n real weights the signal
+    holds, the computed spectrum is taken to satisfy
+        ||dX||_2 <= eps sqrt(n) ((4 log2 L + 2) ||x||_2 + 3 sqrt n):
+    4 eps log2(L) sqrt(n) ||x||_2 for the transform (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 24), and the rounding
+    of each weight, |dx_k| <= eps (3 + 2|x_k|), pushed through it exactly
+    (Parseval).  Cauchy-Schwarz over all n bins turns that into
+    sum_j w_j |dX_j|/|X_j| <= ||dX||_2 (sum_j w_j/|X_j|^2)^(1/2), the
+    consumed bins standing for their conjugates.  The rounding of abs, log,
+    the prefactor and fsum adds 2 eps (|pref| + sum_j w_j (1 + |log|X_j/s||))
+    per class.
     """
-    parts, budget = [], 0.0
-    for what, (pref, mag, w, sum_abs_x) in (("odd", odd), ("even", even)):
+    parts, inv_sq, rounding = [], 0.0, 0.0
+    for what, (pref, mag, w, s) in (("odd", odd), ("even", even)):
         _guard_bins(mag, q, what)
-        parts.append(math.fsum([pref] + (w * np.log(mag)).tolist()))
-        budget += sum_abs_x * float(np.sum(w / mag))
-    err_est = float(4.0 * _EPS * math.log2(max(n, 2)) * budget)
+        logs = w * np.log(mag / s)
+        parts.append(math.fsum([pref] + logs.tolist()))
+        inv_sq += float(np.sum(w / (mag * mag)))
+        rounding += abs(pref) + float(np.sum(w + np.abs(logs)))
+    err_est = 0.0
+    if signal is not None:
+        root_n = math.sqrt(q - 1)
+        norm_x = float(np.linalg.norm(signal))
+        dx = root_n * ((4.0 * math.log2(max(signal.size, 2)) + 2.0) * norm_x + 3.0 * root_n)
+        err_est = float(_EPS * (dx * math.sqrt(inv_sq) + 2.0 * rounding))
     return RatioRecord(q, parts[0], parts[1], method, err_est)
 
 
 def log_ratio_fft(field: PrimeField) -> RatioRecord:
-    """Production route: each parity class from one length-h transform,
-    h = (q-1)/2.  See the module docstring for the fold.
+    """Production route: both parity classes from one length-h transform,
+    h = (q-1)/2.
 
-    Odd class: for odd chi_{2m+1} the terms at k and k + h combine to
-    ((2 a_k - q)/q) e((2m+1)k/(q-1)), so the sum is conj(D[m]) with D the
-    transform of d; D[h-1-m] = conj(D[m]).
+    x has the length-(q-1) transform X_j = sum_k x_k e(-jk/(q-1)).  As c
+    flips sign and y repeats between the halves of x, odd j see only 2c
+    and even j only 2y:
+      odd j  : X_j = conj(sum_a (a/q) chi_j(a)),
+      even j : X_j = conj(sum_a chi_j(a) log sin(pi a/q))
+                   = -2 conj(sum_a chi_j(a) log Gamma(a/q))  (j != 0).
+    min(a_k, q - a_k) <= h keeps sin well conditioned (at a = q-1,
+    sin(pi a/q) would lose about q eps of relative accuracy), and log sin
+    runs on h points only.
 
-    Even class: for even chi_{2m} the terms at k and k + h combine, by the
-    reflection formula, to (log pi - y_k) e(-mk/h), and the constant drops
-    out for m != 0: the sum is -Y[m] with Y the transform of y, and
-    Y[h-m] = conj(Y[m]).  b_k <= h keeps sin well conditioned (at a = q-1,
-    sin(pi a/q) would lose about q eps of relative accuracy).  At q = 3
-    the class is empty.
-
-    Each magnitude is logged once per conjugate pair.  Both transforms go
-    through fft.dft_fast, so the second reuses the chirp kernel the first
-    one built (unless h is a power of two, which needs none).
+    X is real-input, so bins 0..h carry every character: bin j stands for
+    itself and its conjugate q-1-j (weight 2), except j = h (weight 1).
+    With Z the transform of the zero-copy view z_k = x_{2k} + i x_{2k+1},
+      X_j = (Z_j + conj Z_{h-j})/2 - (i/2) e(-j/(q-1)) (Z_j - conj Z_{h-j}),
+    indices mod h.  Odd bins are the odd class; even bins j >= 2, halved,
+    the even class, each with the prefactor of its naive-route sums.  At
+    q = 3 (h = 1) the even class is empty.
     """
-    q, h = field.q, field.n // 2
+    q, n = field.q, field.n
+    h = n // 2
     a = field.pow_table[:h]
-    d = ((2 * a - q) / q) * np.exp((-2j * np.pi / field.n) * np.arange(h))
-    y = np.log(np.sin((np.pi / q) * np.minimum(a, q - a)))
-    odd = (_odd_pref(q), *_paired_bins(fft.dft_fast(d), 0, h - 1), float(np.sum(np.abs(d))))
-    even = (_even_pref(q), *_paired_bins(fft.dft_fast(y), 1, h), float(np.sum(np.abs(y))))
-    return _record(q, Method.FFT, h, odd, even)
+    x = np.empty(n)
+    y = x[:h]  # y, then y + c; built in place to keep the peak RSS down
+    np.multiply(np.minimum(a, q - a), np.pi / q, out=y)
+    np.log(np.sin(y, out=y), out=y)
+    c = (a - q / 2) / q
+    np.subtract(y, c, out=x[h:])
+    y += c
+    z = x.view(np.complex128)
+    zj = np.append(fft.dft_fast(z), 0.0)
+    zj[h] = zj[0]  # Z_j for j = 0..h, Z_h = Z_0
+    zc = np.conj(zj[::-1])  # conj Z_{h-j}
+    j = np.arange(h + 1)
+    tw = np.exp((-1j * np.pi / h) * j)  # e(-j/(q-1))
+    tw *= -1j
+    tw *= zj - zc
+    zj += zc
+    zj += tw
+    mag = 0.5 * np.abs(zj)  # |X_j|, split step done in place
+    w = np.where(j == h, 1.0, 2.0)
+    odd = (_odd_pref(q), mag[1::2], w[1::2], 1.0)
+    even = (_even_pref(q), mag[2::2], w[2::2], 2.0)
+    return _record(q, Method.FFT, odd, even, z)
 
 
 def log_ratio_digamma(field: PrimeField) -> RatioRecord:
@@ -163,11 +200,10 @@ def log_ratio_digamma(field: PrimeField) -> RatioRecord:
     q = field.q
     f = _digamma_weights(q)
     spec = fft.char_spectrum(field, f)
-    sum_abs_f = float(np.sum(np.abs(f)))
     # log|L(1,chi_j)| = -log q + log|S_j|, split by parity class: chi_j(-1) = (-1)^j
-    odd = (-((q - 1) / 2) * math.log(q), np.abs(spec[1::2]), 1.0, sum_abs_f)
-    even = (-((q - 3) / 2) * math.log(q), np.abs(spec[2::2]), 1.0, sum_abs_f)
-    return _record(q, Method.DIGAMMA, q - 1, odd, even)
+    odd = (-((q - 1) / 2) * math.log(q), np.abs(spec[1::2]), 1.0, 1.0)
+    even = (-((q - 3) / 2) * math.log(q), np.abs(spec[2::2]), 1.0, 1.0)
+    return _record(q, Method.DIGAMMA, odd, even, f[1:])
 
 
 def _naive_abs_sums(field: PrimeField) -> np.ndarray:
@@ -210,9 +246,9 @@ def log_ratio_naive(field: PrimeField) -> RatioRecord:
         raise CostGuardError(f"naive method refused for q={q} > {NAIVE_MAX_Q}")
     abs_s = _naive_abs_sums(field)
     # no transform, so no rounding budget; the even class is empty at q = 3
-    odd = (_odd_pref(q), abs_s[1::2], 1.0, 0.0)
-    even = (_even_pref(q), abs_s[2::2], 1.0, 0.0)
-    return _record(q, Method.NAIVE, field.n, odd, even)
+    odd = (_odd_pref(q), abs_s[1::2], 1.0, 1.0)
+    even = (_even_pref(q), abs_s[2::2], 1.0, 1.0)
+    return _record(q, Method.NAIVE, odd, even)
 
 
 def naive_l1_magnitudes(field: PrimeField) -> np.ndarray:

@@ -157,6 +157,18 @@ class TestPrimeField:
             assert f.pow_table[k] == x
             x = x * g % q
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 101])
+    def test_small_blocks_match_plain_loop(self, q):
+        # isqrt(q-1) + 1 powers per block: one block at q = 3, several from q = 5 on
+        f = build_field(q)
+        assert f.pow_table.tolist() == [pow(f.g, k, q) for k in range(q - 1)]
+
+    def test_dlog_built_on_first_read(self):
+        f = build_field(101)
+        assert "dlog" not in vars(f)
+        assert f.dlog is f.dlog
+        assert "dlog" in vars(f)
+
 
 class TestPrimeReciprocalSum:
     def test_four_terms(self):
