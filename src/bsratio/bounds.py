@@ -1,5 +1,6 @@
-"""Explicit bounds: the prime-power sum bounds, the R(q) envelopes, and
-the prime-reciprocal inequality check.
+"""Explicit bounds: the prime-power sum bounds, the R(q) envelope for
+the case without an exceptional zero with its empirical normalized band,
+and the prime-reciprocal inequality check.
 
 The per-q checks take any record with .q and .R, such as a
 ratio.RatioRecord or a pipeline.StatsRow read back from a results CSV.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import constants_table, digamma, exp_integral_E1
+from .specfun import constants_table, digamma
 from .ntheory import prime_reciprocal_sum
 
 DUSART_MIN_X = 2278383
@@ -79,28 +80,6 @@ def normalized_in_band(record) -> bool:
     reads only record.q and record.R."""
     v = record.R * math.log(record.q) ** 0.75
     return NORMALIZED_BAND[0] < v < NORMALIZED_BAND[1]
-
-
-def siegel_zero_factor(beta0: float) -> float:
-    """exp(-E1(1 - beta0)) for a hypothetical real zero beta0 < 1.
-
-    Pure formula evaluator for exploring the exceptional-zero envelope;
-    no zero search is performed anywhere in this package.
-    """
-    if not 0.0 < beta0 < 1.0:
-        raise ValueError("beta0 must lie in (0, 1)")
-    return math.exp(-exp_integral_E1(1.0 - beta0))
-
-
-def siegel_zero_envelope(q: int, beta0: float, ell: float = 1.0) -> tuple[float, float]:
-    """Two-sided envelope for R(q) when a zero at beta0 is hypothesized:
-    (e^-1.87 f / ((log q)^2 ell), e^0.51 f (log q)^2 ell) with
-    f = exp(-E1(1-beta0))."""
-    if ell <= 0:
-        raise ValueError("ell must be positive")
-    f = siegel_zero_factor(beta0)
-    lq2 = math.log(q) ** 2
-    return _ENV_LO * f / (lq2 * ell), _ENV_HI * f * lq2 * ell
 
 
 def check_dusart(x: float) -> bool:

@@ -83,6 +83,7 @@ def _cmd_sigma(args) -> int:
     print(f"sum                    {split.total!r}")
     print(f"log R (fft)            {rec.log_R!r}")
     print(f"|sigma2| bound         {bounds_mod.simple_bound(split.q)!r}")
+    print(f"M(q,1) (p = 1 mod q)   {primesum.mertens_constant_q1(split)!r}")
     return 0
 
 

@@ -225,10 +225,8 @@ class Summary:
     max_q: int
     count_2qp1: int
     mean_R_2qp1: float | None
-    mean_R_norm_2qp1: float | None
     count_2qm1: int
     mean_R_2qm1: float | None
-    mean_R_norm_2qm1: float | None
 
 
 def summarize(path: str | os.PathLike) -> Summary:
@@ -255,8 +253,6 @@ def summarize(path: str | os.PathLike) -> Summary:
         max_q=int(qs[i_max]),
         count_2qp1=int(p1.sum()),
         mean_R_2qp1=_mean(p1, r),
-        mean_R_norm_2qp1=_mean(p1, rn),
         count_2qm1=int(m1.sum()),
         mean_R_2qm1=_mean(m1, r),
-        mean_R_norm_2qm1=_mean(m1, rn),
     )

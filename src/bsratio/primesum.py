@@ -39,10 +39,12 @@ from .bounds import simple_bound
 from .errors import CostGuardError, VerificationError
 from .fft import char_spectrum
 from .ntheory import PrimeField, build_field, moebius, sieve_primes
+from .ratio import NAIVE_MAX_Q
 from .specfun import constants_table
 
 DEFAULT_A = 20
-VERIFY_MAX_Q = 100_000
+# the km=1 term runs the direct O(q^2) route, so its limit is the verifier's
+VERIFY_MAX_Q = NAIVE_MAX_Q
 
 _EPS = np.finfo(np.float64).eps
 
@@ -329,12 +331,3 @@ def mertens_constant_q1(split: SigmaSplit) -> float:
     """
     consts = constants_table()
     return (split.prime_sum + consts.meissel_mertens - 1.0 / split.q) / (split.q - 1)
-
-
-def mertens_power_constant(q: int) -> float:
-    """B(q) = -sum_{m>=2} (1/m) sum_{p != q} p^-m for an odd prime q, in the
-    closed form M - gamma - (log(1-1/q) + 1/q)."""
-    if q < 3 or q % 2 == 0:
-        raise ValueError("q must be an odd prime")
-    consts = constants_table()
-    return consts.meissel_mertens - consts.euler_gamma - (math.log1p(-1.0 / q) + 1.0 / q)

@@ -2,23 +2,26 @@
 
 Three routes to the same number:
 
-* FFT      -- the production route.  With h = (q-1)/2 and a_k = g^k mod q,
-              a_{k+h} = q - a_k, so the real array x = (y + c, y - c),
-              c_k = (a_k - q/2)/q, y_k = log sin(pi min(a_k, q - a_k)/q),
-              carries both parity classes: in its transform the odd bins
-              are the (a/q)-sums of the odd characters and the even bins
-              j >= 2, by the reflection formula log Gamma(x) +
-              log Gamma(1-x) = log pi - log sin(pi x), -2 times their
-              log Gamma sums.  Bins 0..h (weight 2, bin h weight 1) come
-              from one complex length-h transform of z_k = x_{2k} +
-              i x_{2k+1} and the real-FFT split step; no log Gamma is
-              evaluated.
-* DIGAMMA  -- every character through sum_a chi(a) psi(a/q) on the full
-              length-(q-1) spectrum; used as a cross-check of the FFT route.
-* NAIVE    -- the unfolded per-character sums (linear and log Gamma
-              weights) evaluated by direct O(q^2) summation, no FFT code
-              shared; the oracle for both.  Only the bins a parity class
-              consumes are summed, in sqrt(q)-blocks (_naive_abs_sums).
+* log_ratio_fft     -- the production route.  With h = (q-1)/2 and
+                       a_k = g^k mod q, a_{k+h} = q - a_k, so the real array
+                       x = (y + c, y - c), c_k = (a_k - q/2)/q,
+                       y_k = log sin(pi min(a_k, q - a_k)/q), carries both
+                       parity classes: in its transform the odd bins are the
+                       (a/q)-sums of the odd characters and the even bins
+                       j >= 2, by the reflection formula log Gamma(x) +
+                       log Gamma(1-x) = log pi - log sin(pi x), -2 times
+                       their log Gamma sums.  Bins 0..h (weight 2, bin h
+                       weight 1) come from one complex length-h transform
+                       of z_k = x_{2k} + i x_{2k+1} and the real-FFT split
+                       step; no log Gamma is evaluated.
+* log_ratio_digamma -- every character through sum_a chi(a) psi(a/q) on the
+                       full length-(q-1) spectrum; used as a cross-check of
+                       the FFT route.
+* log_ratio_naive   -- the unfolded per-character sums (linear and log Gamma
+                       weights) evaluated by direct O(q^2) summation, no FFT
+                       code shared; the oracle for both.  Only the bins a
+                       parity class consumes are summed, in sqrt(q)-blocks
+                       (_naive_abs_sums), and q above NAIVE_MAX_Q is refused.
 
 Each route ends in _record, the single assembly step: it takes the
 magnitudes of each parity class with their prefactor and weights, guards
@@ -31,7 +34,6 @@ accumulation would lose the 1e-10 cross-method target.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -49,18 +51,11 @@ _DEGENERATE = 1e-30
 NAIVE_MAX_Q = 100_000
 
 
-class Method(enum.Enum):
-    FFT = "fft"
-    DIGAMMA = "digamma"
-    NAIVE = "naive"
-
-
 @dataclass(frozen=True)
 class RatioRecord:
     q: int
     odd_part: float
     even_part: float
-    method: Method
     err_est: float
 
     @property
@@ -106,9 +101,7 @@ def _even_pref(q: int) -> float:
     return ((q - 3) / 2) * (math.log(2.0) - math.log(q) / 2)
 
 
-def _record(
-    q: int, method: Method, odd: tuple, even: tuple, signal: np.ndarray | None = None
-) -> RatioRecord:
+def _record(q: int, odd: tuple, even: tuple, signal: np.ndarray | None = None) -> RatioRecord:
     """The one assembly step from spectrum magnitudes to a RatioRecord.
 
     Each parity class is (pref, |X_j|, w, s): its part of log R is
@@ -143,7 +136,7 @@ def _record(
         norm_x = float(np.linalg.norm(signal))
         dx = root_n * ((4.0 * math.log2(max(signal.size, 2)) + 2.0) * norm_x + 3.0 * root_n)
         err_est = float(_EPS * (dx * math.sqrt(inv_sq) + 2.0 * rounding))
-    return RatioRecord(q, parts[0], parts[1], method, err_est)
+    return RatioRecord(q, parts[0], parts[1], err_est)
 
 
 def log_ratio_fft(field: PrimeField) -> RatioRecord:
@@ -192,7 +185,7 @@ def log_ratio_fft(field: PrimeField) -> RatioRecord:
     w = np.where(j == h, 1.0, 2.0)
     odd = (_odd_pref(q), mag[1::2], w[1::2], 1.0)
     even = (_even_pref(q), mag[2::2], w[2::2], 2.0)
-    return _record(q, Method.FFT, odd, even, z)
+    return _record(q, odd, even, z)
 
 
 def log_ratio_digamma(field: PrimeField) -> RatioRecord:
@@ -203,7 +196,7 @@ def log_ratio_digamma(field: PrimeField) -> RatioRecord:
     # log|L(1,chi_j)| = -log q + log|S_j|, split by parity class: chi_j(-1) = (-1)^j
     odd = (-((q - 1) / 2) * math.log(q), np.abs(spec[1::2]), 1.0, 1.0)
     even = (-((q - 3) / 2) * math.log(q), np.abs(spec[2::2]), 1.0, 1.0)
-    return _record(q, Method.DIGAMMA, odd, even, f[1:])
+    return _record(q, odd, even, f[1:])
 
 
 def _naive_abs_sums(field: PrimeField) -> np.ndarray:
@@ -216,9 +209,13 @@ def _naive_abs_sums(field: PrimeField) -> np.ndarray:
     k = k1 B + k0 with B = isqrt(n) and x zero-padded to a multiple of B:
     e(jk/n) = e((j k0 mod n)/n) e((j B k1 mod n)/n), so a block of rows is
     one matrix product over k0 and one elementwise product over k1, and
-    each bin costs O(sqrt n) index work beside its n terms.
+    each bin costs O(sqrt n) index work beside its n terms.  q above
+    NAIVE_MAX_Q raises CostGuardError before any of that work.
     """
-    q, n = field.q, field.n
+    q = field.q
+    if q > NAIVE_MAX_Q:
+        raise CostGuardError(f"naive method refused for q={q} > {NAIVE_MAX_Q}")
+    n = field.n
     h = n // 2
     B = math.isqrt(n)
     n1 = -(-n // B)
@@ -242,13 +239,11 @@ def _naive_abs_sums(field: PrimeField) -> np.ndarray:
 def log_ratio_naive(field: PrimeField) -> RatioRecord:
     """Oracle route: direct per-character sums, O(q^2)."""
     q = field.q
-    if q > NAIVE_MAX_Q:
-        raise CostGuardError(f"naive method refused for q={q} > {NAIVE_MAX_Q}")
     abs_s = _naive_abs_sums(field)
     # no transform, so no rounding budget; the even class is empty at q = 3
     odd = (_odd_pref(q), abs_s[1::2], 1.0, 1.0)
     even = (_even_pref(q), abs_s[2::2], 1.0, 1.0)
-    return _record(q, Method.NAIVE, odd, even)
+    return _record(q, odd, even)
 
 
 def naive_l1_magnitudes(field: PrimeField) -> np.ndarray:
@@ -260,8 +255,6 @@ def naive_l1_magnitudes(field: PrimeField) -> np.ndarray:
     independent of dft_fast.
     """
     q = field.q
-    if q > NAIVE_MAX_Q:
-        raise CostGuardError(f"naive method refused for q={q} > {NAIVE_MAX_Q}")
     abs_s = _naive_abs_sums(field)
     rootq = math.sqrt(q)
     mags = np.empty(q - 1)

@@ -1,9 +1,8 @@
 """Special functions and the numeric constants used throughout.
 
-The classical special functions (log Gamma, digamma, E1, Hurwitz zeta) are
-thin domain-checked wrappers over math/scipy.special; the constants are
-computed here from scratch with explicit truncation control so repeated
-evaluation is bit-identical.
+digamma is a thin domain-checked wrapper over scipy.special; prime_zeta
+and the constants are computed here from scratch with explicit truncation
+control so repeated evaluation is bit-identical.
 """
 
 from __future__ import annotations
@@ -20,34 +19,11 @@ from .ntheory import moebius
 EULER_GAMMA = float(np.euler_gamma)
 
 
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
-
-
 def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if x <= 0:
         raise ValueError("digamma requires x > 0")
     return float(sp.psi(x))
-
-
-def exp_integral_E1(x: float) -> float:
-    """E1(x) = integral of e^(-t)/t from x to infinity, x > 0."""
-    if x <= 0:
-        raise ValueError("exp_integral_E1 requires x > 0")
-    return float(sp.exp1(x))
-
-
-def hurwitz_zeta(n: int, x: float) -> float:
-    """zeta(n, x) = sum_{k>=0} (k+x)^(-n) for integer n >= 2, 0 < x <= 1."""
-    if n < 2:
-        raise ValueError("hurwitz_zeta requires n >= 2")
-    if not 0 < x <= 1:
-        raise ValueError("hurwitz_zeta requires 0 < x <= 1")
-    return float(sp.zeta(n, x))
 
 
 def prime_zeta(s: int) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsratio import build_field
+from bsratio.ntheory import build_field
 
 
 @pytest.fixture(scope="session")

@@ -3,21 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from bsratio import (
+from bsratio.bounds import (
     check_dusart,
     check_envelope,
-    log_ratio_fft,
-    refined_bound,
-    sieve_primes,
-    simple_bound,
-)
-from bsratio.bounds import (
     envelope_interval,
     normalized_in_band,
+    refined_bound,
     report_for,
-    siegel_zero_envelope,
-    siegel_zero_factor,
+    simple_bound,
 )
+from bsratio.ntheory import sieve_primes
+from bsratio.ratio import log_ratio_fft
 from bsratio.specfun import power_sum_constant
 
 
@@ -137,24 +133,6 @@ class TestDusart:
     def test_domain(self):
         with pytest.raises(ValueError):
             check_dusart(10**6)
-
-
-class TestSiegelEvaluator:
-    def test_factor_decreases_toward_one(self):
-        betas = [0.5, 0.9, 0.99, 0.999]
-        vals = [siegel_zero_factor(b) for b in betas]
-        assert all(b < a for a, b in zip(vals, vals[1:]))  # E1 grows as beta -> 1
-        assert all(0 < v < 1.0 for v in vals[1:])
-
-    def test_envelope_ordering(self):
-        lo, hi = siegel_zero_envelope(1009, 0.999, ell=2.0)
-        assert 0 < lo < hi
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            siegel_zero_factor(1.0)
-        with pytest.raises(ValueError):
-            siegel_zero_envelope(101, 0.9, ell=0.0)
 
 
 class TestReportRow:

@@ -60,7 +60,10 @@ def test_sigma_reports_the_verifier_split(capsys):
         f"sigma2 (prime powers)  {split.power_sum!r}",
         f"sum                    {split.total!r}",
     ]
-    assert lines[-1] == f"|sigma2| bound         {bounds.simple_bound(101)!r}"
+    assert lines[-2:] == [
+        f"|sigma2| bound         {bounds.simple_bound(101)!r}",
+        f"M(q,1) (p = 1 mod q)   {primesum.mertens_constant_q1(split)!r}",
+    ]
 
 
 @pytest.mark.parametrize("command", ["verify", "sigma"])

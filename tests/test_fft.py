@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bsratio import char_spectrum, dft_fast, dft_naive, sieve_primes
+from bsratio.fft import char_spectrum, dft_fast, dft_naive
+from bsratio.ntheory import sieve_primes
 
 
 class TestDftNaive:

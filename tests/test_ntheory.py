@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bsratio import (
+from bsratio.ntheory import (
     build_field,
     find_primitive_root,
     is_prime,

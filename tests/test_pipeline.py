@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from bsratio import build_field, compute_range, summarize
 from bsratio.errors import SchemaError
 from bsratio.figures import (
     MARGIN_T,
@@ -16,7 +15,8 @@ from bsratio.figures import (
     plot_scatter,
     scatter_scale,
 )
-from bsratio.pipeline import CSV_HEADER, StatsRow, _format_row, load_rows
+from bsratio.ntheory import build_field
+from bsratio.pipeline import CSV_HEADER, StatsRow, _format_row, compute_range, load_rows, summarize
 
 
 @pytest.fixture(scope="module")

@@ -5,22 +5,22 @@ import numpy as np
 import pytest
 from scipy.special import zetac
 
-from bsratio import (
+from bsratio import primesum
+from bsratio.errors import CostGuardError
+from bsratio.ntheory import sieve_primes
+from bsratio.primesum import (
+    _EulerContext,
+    _orbit_log_sum,
     choose_plan,
     head_sum,
-    log_ratio_fft,
-    log_ratio_naive,
+    mertens_constant_q1,
     moebius_tail,
     prime_power_sum,
-    sieve_primes,
     truncated_log_L,
     verify_ratio,
 )
-from bsratio import primesum
-from bsratio.errors import CostGuardError
-from bsratio.primesum import _EulerContext, _orbit_log_sum, mertens_constant_q1, mertens_power_constant
-from bsratio.ratio import naive_l1_magnitudes
-from bsratio.specfun import EULER_GAMMA, meissel_mertens, power_sum_constant
+from bsratio.ratio import log_ratio_fft, log_ratio_naive, naive_l1_magnitudes
+from bsratio.specfun import meissel_mertens, power_sum_constant
 
 LOG_R3 = math.log(math.pi / (3 * math.sqrt(3)))
 
@@ -315,24 +315,3 @@ class TestMertensConstants:
         for q in (101, 211, 499):
             split = verify_ratio(q, delta=6)
             assert abs((q - 1) * mertens_constant_q1(split)) < 5.0
-
-    def test_power_constant_q3_closed_form(self):
-        b3 = mertens_power_constant(3)
-        closed = meissel_mertens() - EULER_GAMMA - (math.log(2.0 / 3.0) + 1.0 / 3.0)
-        assert b3 == pytest.approx(closed, abs=1e-13)
-
-    def test_power_constant_limit(self):
-        mm_g = meissel_mertens() - EULER_GAMMA
-        for q in (101, 997):
-            assert abs(mertens_power_constant(q) - mm_g) < 1.0 / q**2 + 1.0 / q
-
-    def test_power_constant_brute_series(self, field):
-        # sieve-and-power oracle: -sum_{m=2..40} (1/m) sum_{p <= 1e6, p != 3} p^-m
-        primes = sieve_primes(10**6)
-        primes = primes[primes != 3].astype(np.float64)
-        total = 0.0
-        for m in range(2, 41):
-            with np.errstate(under="ignore"):
-                total -= float(np.sum(primes ** (-float(m)))) / m
-        # brute truncation tail: primes above 1e6 contribute < 1/(2e6)
-        assert abs(mertens_power_constant(3) - total) <= 1e-9 + 1.0 / 10**6

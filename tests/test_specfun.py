@@ -6,48 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import bsratio
 from bsratio.specfun import (
     EULER_GAMMA,
     constants_table,
     digamma,
-    exp_integral_E1,
-    hurwitz_zeta,
-    log_gamma,
     meissel_mertens,
     minimize_harmonic_loglog,
     power_sum_constant,
     prime_zeta,
 )
 from bsratio.ntheory import sieve_primes
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_at_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-15)
-
-    def test_third_by_reflection(self):
-        # Gamma(1/3) Gamma(2/3) = pi / sin(pi/3) = 2 pi / sqrt(3)
-        assert log_gamma(1 / 3) + log_gamma(2 / 3) == pytest.approx(
-            math.log(2 * math.pi / math.sqrt(3)), abs=1e-14
-        )
-
-    def test_reflection_random(self, rng):
-        for x in rng.uniform(1e-3, 1.0 - 1e-3, size=100):
-            lhs = log_gamma(x) + log_gamma(1.0 - x)
-            rhs = math.log(math.pi / math.sin(math.pi * x))
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.0)
 
 
 class TestDigamma:
@@ -67,77 +37,6 @@ class TestDigamma:
     def test_domain(self):
         with pytest.raises(ValueError):
             digamma(-0.5)
-
-
-class TestExpIntegral:
-    def test_series_identity(self):
-        # E1(x) + gamma + log x = -sum_k (-x)^k/(k! k), alternating, x=0.3
-        x = 0.3
-        s, term = 0.0, 1.0
-        for k in range(1, 40):
-            term *= -x / k
-            s -= term / k
-        assert exp_integral_E1(x) + EULER_GAMMA + math.log(x) == pytest.approx(s, abs=1e-14)
-
-    def test_two_sided_bound(self):
-        x = 0.5
-        v = exp_integral_E1(x)
-        assert -EULER_GAMMA - math.log(x) < v < -EULER_GAMMA - math.log(x) + x
-
-    def test_bound_on_log_grid(self):
-        for x in np.logspace(-6, 1, 40):
-            v = exp_integral_E1(float(x))
-            lo = -EULER_GAMMA - math.log(x)
-            assert lo < v < lo + x
-
-    def test_against_quadrature(self):
-        # t = 1/u maps the integral over [1, inf) to a finite interval
-        oracle, err = integrate.quad(
-            lambda u: math.exp(-1.0 / u) / u, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13
-        )
-        assert err < 1e-12
-        v = exp_integral_E1(1.0)
-        assert v == pytest.approx(oracle, rel=1e-12)
-        assert v == pytest.approx(0.2193839344, abs=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            exp_integral_E1(0.0)
-
-
-def _hurwitz_brute(n, x, terms=10**6):
-    """Partial sum plus integral tail: error below (terms)^-n."""
-    k = np.arange(terms, dtype=np.float64)
-    head = math.fsum((k + x) ** (-float(n)))
-    tail = (terms + x) ** (1 - n) / (n - 1)  # integral of (t+x)^-n from `terms`
-    return head + tail
-
-
-class TestHurwitzZeta:
-    def test_zeta2(self):
-        assert hurwitz_zeta(2, 1.0) == pytest.approx(math.pi**2 / 6, rel=1e-14)
-
-    def test_half(self):
-        assert hurwitz_zeta(2, 0.5) == pytest.approx(math.pi**2 / 2, rel=1e-14)
-
-    def test_brute_force(self):
-        assert hurwitz_zeta(3, 0.25) == pytest.approx(_hurwitz_brute(3, 0.25), rel=1e-12)
-
-    def test_shift_identity(self, rng):
-        # zeta(n,x) - x^-n = sum over k>=0 of (k+x+1)^-n, checked by series
-        for _ in range(20):
-            n = int(rng.integers(2, 8))
-            x = float(rng.uniform(0.05, 1.0))
-            shifted = _hurwitz_brute(n, x + 1.0)
-            assert hurwitz_zeta(n, x) - x ** (-n) == pytest.approx(shifted, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            hurwitz_zeta(1, 0.5)
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2, 1.5)
-        with pytest.raises(ValueError):
-            hurwitz_zeta(2, 0.0)
 
 
 class TestPrimeZeta:
