@@ -10,6 +10,7 @@ input exits 2, a failed check exits 1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -206,7 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except BrokenPipeError:  # the reader left early, as in `bsratio stats ... | head`
+        # point stdout at devnull so the exit-time flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, what a shell reports for a killed writer
     except VerificationError as exc:
         print(f"FAIL: {exc}")
         return 1

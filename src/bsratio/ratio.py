@@ -27,9 +27,10 @@ Each route ends in _record, the single assembly step: it takes the
 magnitudes of each parity class with their prefactor and weights, guards
 against a degenerate spectrum, sums the logs and computes err_est, a
 norm-wise budget for the one transform the magnitudes came from.  Its
-sums go through math.fsum: the parity prefactors grow like q log q while
-log R stays O(1), so the final additions cancel massively and plain
-accumulation would lose the 1e-10 cross-method target.
+class sums are exact but for two roundings (_class_sum): the parity
+prefactors grow like q log q while log R stays O(1), so the final
+additions cancel massively and plain accumulation would lose the 1e-10
+cross-method target.
 """
 
 from __future__ import annotations
@@ -101,14 +102,41 @@ def _even_pref(q: int) -> float:
     return ((q - 3) / 2) * (math.log(2.0) - math.log(q) / 2)
 
 
+def _class_sum(pref: float, p: np.ndarray) -> float:
+    """pref + sum(p), in effect exactly: the error-free ExtractVector split
+    of Rump, Ogita and Oishi (SIAM J. Sci. Comput. 31(1), 2008), vectorised.
+
+    With n = len(p), mu = max|p_i| and sigma a power of two >= (n+2) mu
+    (sigma < 4 (n+2) mu), hi_i = (sigma + p_i) - sigma and lo_i = p_i - hi_i
+    are exact: p_i = hi_i + lo_i, the hi_i are multiples of u sigma
+    (u = eps/2) whose partial sums stay below sigma, so np.sum adds them
+    without error in any order, and |lo_i| <= u sigma.  Only two roundings
+    are left.  np.sum adds a contiguous array pairwise, in blocks of at
+    most 128 terms that pass each term through at most 25 additions, so
+    the sum of the lo_i errs by at most (25 + log2 n) u sum|lo_i| <
+    4 (25 + log2 n) n (n+2) u^2 mu.  Against the 2 eps sum_j w_j >= 4 u n
+    that _record budgets for the sum, that is a share below
+    (25 + log2 n)(n + 2) u mu, under 3e-6 at any q <= 1e7: a class holds
+    at most (q-1)/2 bins of weight 1 or (q-1)/4 of weight 2, and
+    |log(|X_j|/s)| <= 69 between the degeneracy guard's 1e-30 and
+    ||x||_1 < 1e15, so (n + 2) mu < 3.5e8.  The final fsum of three terms
+    rounds once, as math.fsum over all n + 1 did.
+    """
+    mu = float(np.max(np.abs(p), initial=0.0))
+    sigma = math.ldexp(1.0, (p.size + 1).bit_length() + math.frexp(mu)[1])
+    hi = p + sigma
+    hi -= sigma
+    return math.fsum([pref, float(np.sum(hi)), float(np.sum(p - hi))])
+
+
 def _record(q: int, odd: tuple, even: tuple, signal: np.ndarray | None = None) -> RatioRecord:
     """The one assembly step from spectrum magnitudes to a RatioRecord.
 
     Each parity class is (pref, |X_j|, w, s): its part of log R is
     pref + sum_j w_j log(|X_j|/s), with w_j the number of characters bin j
-    stands for and s an exact power-of-two scale.  signal is the array the
-    one transform behind every |X_j| ran on, or None when no transform
-    produced them (then err_est = 0).
+    stands for and s an exact power-of-two scale, summed by _class_sum.
+    signal is the array the one transform behind every |X_j| ran on, or
+    None when no transform produced them (then err_est = 0).
 
     err_est is a norm-wise budget; heuristic, not certified.  With
     n = q - 1 bins, L = len(signal) and x the n real weights the signal
@@ -120,14 +148,15 @@ def _record(q: int, odd: tuple, even: tuple, signal: np.ndarray | None = None) -
     (Parseval).  Cauchy-Schwarz over all n bins turns that into
     sum_j w_j |dX_j|/|X_j| <= ||dX||_2 (sum_j w_j/|X_j|^2)^(1/2), the
     consumed bins standing for their conjugates.  The rounding of abs, log,
-    the prefactor and fsum adds 2 eps (|pref| + sum_j w_j (1 + |log|X_j/s||))
-    per class.
+    the prefactor and the class sum adds 2 eps (|pref| + sum_j w_j (1 +
+    |log|X_j/s||)) per class; the class sum takes a vanishing share of it.
     """
     parts, inv_sq, rounding = [], 0.0, 0.0
     for what, (pref, mag, w, s) in (("odd", odd), ("even", even)):
         _guard_bins(mag, q, what)
-        logs = w * np.log(mag / s)
-        parts.append(math.fsum([pref] + logs.tolist()))
+        logs = np.log(mag / s)
+        logs *= w
+        parts.append(_class_sum(pref, logs))
         inv_sq += float(np.sum(w / (mag * mag)))
         rounding += abs(pref) + float(np.sum(w + np.abs(logs)))
     err_est = 0.0
@@ -168,21 +197,29 @@ def log_ratio_fft(field: PrimeField) -> RatioRecord:
     y = x[:h]  # y, then y + c; built in place to keep the peak RSS down
     np.multiply(np.minimum(a, q - a), np.pi / q, out=y)
     np.log(np.sin(y, out=y), out=y)
-    c = (a - q / 2) / q
+    c = a - q / 2
+    c /= q
     np.subtract(y, c, out=x[h:])
     y += c
     z = x.view(np.complex128)
-    zj = np.append(fft.dft_fast(z), 0.0)
-    zj[h] = zj[0]  # Z_j for j = 0..h, Z_h = Z_0
-    zc = np.conj(zj[::-1])  # conj Z_{h-j}
-    j = np.arange(h + 1)
-    tw = np.exp((-1j * np.pi / h) * j)  # e(-j/(q-1))
-    tw *= -1j
-    tw *= zj - zc
-    zj += zc
-    zj += tw
-    mag = 0.5 * np.abs(zj)  # |X_j|, split step done in place
-    w = np.where(j == h, 1.0, 2.0)
+    zj = fft.dft_fast(z)
+    # X_0 and X_h need only Z_0 (Z_h = Z_0, e(-h/(q-1)) = -1)
+    mag = np.empty(h + 1)
+    mag[0] = abs(zj[0].real + zj[0].imag)
+    mag[h] = abs(zj[0].real - zj[0].imag)
+    # j = 1..h-1 in place: s = Z_j + conj Z_{h-j} overwrites Z_j, d = Z_j -
+    # conj Z_{h-j} = s - 2 conj Z_{h-j} overwrites the conjugate copy
+    s, d = zj[1:], np.conj(zj[:0:-1])
+    s += d
+    d *= -2.0
+    d += s
+    d *= fft.twiddle(range(1, h), n)  # e(-j/(q-1))
+    d *= -1j
+    s += d
+    np.abs(s, out=mag[1:h])
+    mag[1:h] *= 0.5  # |X_j|, split step done
+    w = np.full(h + 1, 2.0)
+    w[h] = 1.0
     odd = (_odd_pref(q), mag[1::2], w[1::2], 1.0)
     even = (_even_pref(q), mag[2::2], w[2::2], 2.0)
     return _record(q, odd, even, z)

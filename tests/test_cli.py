@@ -1,3 +1,8 @@
+import errno
+import io
+import os
+import sys
+
 import pytest
 
 from bsratio import bounds, pipeline, primesum, ratio
@@ -121,3 +126,28 @@ def test_bounds_report(tmp_path, capsys):
     assert lines[-1] == f"# envelope ok: {n_env}/{n}   normalized band ok: {n_band}/{n}"
 
     _assert_error_exit_2(["bounds", "--in", str(csv), "--dusart-x", "10"], capsys)
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, s):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["constants"]) == 141
+        # the exit-time flush then goes to devnull, not to the closed pipe
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""

@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
-from bsratio.fft import char_spectrum, dft_fast, dft_naive
+from bsratio import fft
+from bsratio.fft import char_spectrum, dft_fast, dft_naive, twiddle
 from bsratio.ntheory import sieve_primes
 
 
@@ -53,6 +55,56 @@ class TestDftFast:
             dft_fast(np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
             dft_naive(np.array([np.inf, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 256, 1000])  # n == 1, power of two, Bluestein
+    def test_input_left_unchanged(self, rng, n):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        before = x.tobytes()
+        dft_fast(x)
+        assert x.tobytes() == before
+
+    def test_cached_kernel_read_only_and_unchanged(self, rng):
+        # verify-sample's pattern: a second transform of one length hits the
+        # cache and must find the kernel as the first call left it
+        n = 1000
+        fft._chirp_kernel.cache_clear()
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        first = dft_fast(x)
+        w, bhat = fft._chirp_kernel(n)
+        saved = (w.tobytes(), bhat.tobytes())
+        assert not w.flags.writeable and not bhat.flags.writeable
+        assert np.array_equal(dft_fast(x), first)
+        info = fft._chirp_kernel.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        assert (w.tobytes(), bhat.tobytes()) == saved
+
+
+class TestTwiddle:
+    EPS = np.finfo(np.float64).eps
+
+    @staticmethod
+    def _err_in_eps(got, ks, m):
+        with mpmath.workdps(30):
+            worst = max(
+                abs(mpmath.mpc(complex(v)) - mpmath.expjpi(mpmath.mpf(-2 * int(k)) / m))
+                for v, k in zip(got, ks)
+            )
+        return float(worst) / TestTwiddle.EPS
+
+    # 10, 9998 and 950018 are 2 mod 4; 1999964 is 0 mod 4
+    @pytest.mark.parametrize("m", [10, 9998, 950018, 1999964])
+    def test_vs_30_digit_reference(self, m):
+        rng = np.random.default_rng(m)
+        ks = np.unique(np.concatenate([[0, 1, m // 4, m // 2, m - 1], rng.integers(0, m, 300)]))
+        assert self._err_in_eps(twiddle(ks.astype(np.int64), m), ks, m) <= 8.0
+
+    @pytest.mark.parametrize("m", [10, 9998, 950018, 1999964])
+    def test_range_vs_30_digit_reference(self, m):
+        for lo, hi in ((0, min(m, 40)), (m // 2 - 20, m // 2 + 20), (max(m - 40, 0), m)):
+            ks = range(lo, hi)
+            got = twiddle(ks, m)
+            assert got.shape == (len(ks),)
+            assert self._err_in_eps(got, ks, m) <= 8.0
 
 
 def _brute_spectrum(f, weights):

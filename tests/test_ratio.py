@@ -8,6 +8,8 @@ from bsratio.errors import CostGuardError
 from bsratio.ntheory import sieve_primes
 from bsratio.ratio import (
     NAIVE_MAX_Q,
+    _class_sum,
+    _odd_pref,
     log_H,
     log_hreg,
     log_ratio_digamma,
@@ -224,6 +226,32 @@ class TestErrEstimate:
     @pytest.mark.parametrize("q", sorted(L1_BUDGET))
     def test_no_looser_than_l1_budget(self, field, q):
         assert log_ratio_fft(field(q)).err_est <= self.L1_BUDGET[q]
+
+
+class TestClassSum:
+    @staticmethod
+    def _check(pref, p):
+        ref = math.fsum([pref] + p.tolist())
+        assert abs(_class_sum(pref, p) - ref) <= math.ulp(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 250001])
+    def test_random_vs_fsum(self, rng, n):
+        for scale in (1e-3, 1.0, 40.0):
+            self._check(float(rng.standard_normal()) * 1e3, scale * rng.standard_normal(n))
+
+    @pytest.mark.parametrize("q", [1009, 99991, 999983])
+    def test_cancellation_vs_fsum(self, rng, q):
+        # one parity class at q: a prefactor of size q log q / 4 against
+        # weighted logs that sum to -pref + O(1), as in log_ratio_fft
+        pref, n = _odd_pref(q), (q - 1) // 4
+        p = rng.uniform(0.0, -2.0 * pref / n, n)
+        p += (-pref - float(np.sum(p))) / n + rng.standard_normal(n) / math.sqrt(n)
+        self._check(pref, p)
+
+    def test_empty_class(self, field):
+        assert _class_sum(-1.25, np.empty(0)) == -1.25
+        rec = log_ratio_fft(field(3))
+        assert rec.even_part == 0.0
 
 
 def _log_r_unfolded_mp(mp, f):
