@@ -213,7 +213,7 @@ def log_ratio_fft(field: PrimeField) -> RatioRecord:
     s += d
     d *= -2.0
     d += s
-    d *= fft.twiddle(range(1, h), n)  # e(-j/(q-1))
+    d *= fft.twiddle(np.arange(1, h, dtype=np.int64), n)  # e(-j/(q-1))
     d *= -1j
     s += d
     np.abs(s, out=mag[1:h])

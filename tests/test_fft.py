@@ -98,14 +98,6 @@ class TestTwiddle:
         ks = np.unique(np.concatenate([[0, 1, m // 4, m // 2, m - 1], rng.integers(0, m, 300)]))
         assert self._err_in_eps(twiddle(ks.astype(np.int64), m), ks, m) <= 8.0
 
-    @pytest.mark.parametrize("m", [10, 9998, 950018, 1999964])
-    def test_range_vs_30_digit_reference(self, m):
-        for lo, hi in ((0, min(m, 40)), (m // 2 - 20, m // 2 + 20), (max(m - 40, 0), m)):
-            ks = range(lo, hi)
-            got = twiddle(ks, m)
-            assert got.shape == (len(ks),)
-            assert self._err_in_eps(got, ks, m) <= 8.0
-
 
 def _brute_spectrum(f, weights):
     """Character sums directly from the dlog table, no transform code."""
