@@ -5,16 +5,22 @@ length-(q-1) DFT once the residues are reindexed by the discrete log of a
 primitive root g: with x[k] = f(g^k) the j-th spectrum entry is
 sum_k x[k] e(jk/(q-1)), where e(t) = exp(2 pi i t).
 
-Arbitrary lengths are handled by Bluestein's chirp-z reduction to a
-cyclic convolution of length scipy.fft.next_fast_len(2n - 1), an
-11-smooth size that need not be a power of two; its transforms come from
-scipy.fft with one worker and run in place on buffers _bluestein
-allocates itself.  Twiddles e(-k/m) come from twiddle(), which splits the
-integer k as k1 B + k0 (B = isqrt(m) + 1) and multiplies entries of two
-tables of about sqrt(m) points, so a length-n chirp costs about
-2 sqrt(2n) cos/sin evaluations instead of n complex exponentials.  The
-chirp reduces k^2 mod 2n exactly in integers first, so accuracy is
-uniform up to lengths around 1e7.
+A length n = s r is split into its 11-smooth part s, whose prime factors
+are the radices scipy.fft runs natively, and its rough part r (Cooley and
+Tukey, Math. Comp. 19, 1965): s-point transforms down the columns of the
+s x r array x, one twiddle e(-j k/n) per entry, then r-point transforms
+along its rows.  The s-point transforms come from scipy.fft.  The r-point
+ones use Bluestein's chirp-z reduction (IEEE Trans. Audio Electroacoust.
+18(4), 1970) to a cyclic convolution of length
+scipy.fft.next_fast_len(2r - 1); all s rows share one chirp kernel, and
+their transforms run in place on buffers _bluestein allocates itself.
+Every scipy.fft call uses one worker.  Twiddles e(-k/m) come from
+twiddle(), which splits the integer k as k1 B + k0 (B = isqrt(m) + 1) and
+multiplies entries of two tables of about sqrt(m) points, so a length-r
+chirp costs about 2 sqrt(2r) cos/sin evaluations instead of r complex
+exponentials.  The chirp reduces k^2 mod 2r exactly in integers first,
+and the split's twiddle index j k is below n, so accuracy is uniform up
+to lengths around 1e7.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ import scipy.fft as _sfft
 from .ntheory import PrimeField
 
 
-def _fft(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _fft(x: np.ndarray, overwrite: bool = False, axis: int = -1) -> np.ndarray:
     # workers pinned to 1: output must not depend on ambient thread counts
-    return _sfft.fft(x, workers=1, overwrite_x=overwrite)
+    return _sfft.fft(x, axis=axis, workers=1, overwrite_x=overwrite)
 
 
 def _ifft(x: np.ndarray) -> np.ndarray:
@@ -89,18 +95,20 @@ def dft_naive(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _chirp_kernel(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chirp w[k] = e(-k^2/(2n)) and the transformed convolution kernel.
 
     k^2 is reduced mod 2n in integer arithmetic and the chirp taken from
     twiddle(), so the argument never exceeds pi and the twiddles stay
     accurate at any length.  The kernel's mirror image is copied from its
-    own first half and transformed in place.  Cached per length: the
-    production route runs one transform of length (q-1)/2 per q, and the
-    full-length spectra (digamma route, verifier) use q-1, so two entries
-    cover every length one q touches; more would only hold memory.  Both
-    arrays are read-only, since every call of that length shares them.
+    own first half and transformed in place.  n is the rough part of a
+    transform length.  One entry is cached: the production route runs one
+    transform of length h = (q-1)/2 per q, and the full-length spectra
+    (digamma route, verifier) use q-1 = 2h, whose rough part is h's, so
+    every transform one q touches shares one kernel; a second entry would
+    only hold the previous q's.  Both arrays are read-only, since every
+    call of that length shares them.
     """
     k = np.arange(n, dtype=np.int64)
     k *= k
@@ -117,30 +125,49 @@ def _chirp_kernel(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bluestein(x: np.ndarray) -> np.ndarray:
-    # both inner transforms overwrite a, which nothing outside this call sees
-    n = x.shape[0]
+    # the DFT of each row of x (1-d or 2-d); both inner transforms overwrite
+    # a, which nothing outside this call sees
+    n = x.shape[-1]
     w, bhat = _chirp_kernel(n)
-    a = np.zeros(bhat.shape[0], dtype=np.complex128)
-    np.multiply(x, w, out=a[:n])
+    a = np.zeros(x.shape[:-1] + bhat.shape, dtype=np.complex128)
+    np.multiply(x, w, out=a[..., :n])
     a = _fft(a, overwrite=True)
     a *= bhat
     a = _ifft(a)
-    return np.multiply(a[:n], w)
+    return np.multiply(a[..., :n], w)
+
+
+def _smooth_part(n: int) -> int:
+    s = 1
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+            s *= p
+    return s
 
 
 def dft_fast(x: np.ndarray) -> np.ndarray:
     """DFT with the same contract as dft_naive, in O(n log n).
 
-    Power-of-two lengths go straight to the library transform; everything
-    else through Bluestein.
+    With n = s r, s the 11-smooth part of n, and input and output indexed
+    as m = m1 r + m2 and k = k1 + s k2,
+        X[k1 + s k2] = sum_m2 e(-m2 k2/r) e(-m2 k1/n) sum_m1 x[m1 r + m2] e(-m1 k1/s):
+    the library transform of length s down the columns of x.reshape(s, r),
+    the twiddle e(-k1 m2/n), then Bluestein along the s rows of length r.
+    An 11-smooth length (s = n) goes straight to the library transform, a
+    length with no prime factor up to 11 (s = 1) straight to Bluestein.
     """
     x = _check_finite(x)
     n = x.shape[0]
-    if n == 1:
-        return x.copy()
-    if n & (n - 1) == 0:
+    s = _smooth_part(n)
+    if s == n:
         return _fft(x)
-    return _bluestein(x)
+    if s == 1:
+        return _bluestein(x)
+    r = n // s
+    y = _fft(x.reshape(s, r), axis=0)
+    y *= twiddle(np.outer(np.arange(s, dtype=np.int64), np.arange(r, dtype=np.int64)), n)
+    return _bluestein(y).T.ravel()
 
 
 def char_spectrum(field: PrimeField, f: np.ndarray) -> np.ndarray:

@@ -162,7 +162,10 @@ def _record(q: int, odd: tuple, even: tuple, signal: np.ndarray | None = None) -
     err_est = 0.0
     if signal is not None:
         root_n = math.sqrt(q - 1)
-        norm_x = float(np.linalg.norm(signal))
+        # a pairwise sum, not np.linalg.norm: a BLAS dot splits long inputs
+        # across the ambient BLAS threads, and err_est's bytes would follow
+        v = signal.view(np.float64)
+        norm_x = math.sqrt(float(np.sum(v * v)))
         dx = root_n * ((4.0 * math.log2(max(signal.size, 2)) + 2.0) * norm_x + 3.0 * root_n)
         err_est = float(_EPS * (dx * math.sqrt(inv_sq) + 2.0 * rounding))
     return RatioRecord(q, parts[0], parts[1], err_est)

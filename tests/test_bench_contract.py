@@ -67,8 +67,36 @@ def test_traced_small_q_sweep(rep, tmp_path):
 
 def test_traced_verify_sample_with_probes(rep, tmp_path):
     tracer, layers, calls0, calls1 = _traced(
-        rep, "verify-sample", dict(qs=[101, 211]), tmp_path / "verify.out", probe=True
+        rep, "verify-sample", dict(qs=[107, 223]), tmp_path / "verify.out", probe=True
     )
     _assert_contract(tracer, layers, calls0, calls1)
     for name in ("primesum.head_sum_s", "primesum.moebius_tail_s", "primesum.prime_power_sum_s"):
         assert layers[name] > 0.0, name
+
+
+def test_every_workload_reaches_a_rough_length(rep):
+    # a body whose transform lengths are all 11-smooth never builds a chirp
+    # kernel, and the chirp-cache metrics of its traced run come out null
+    from bsratio.fft import _smooth_part
+    from bsratio.ntheory import sieve_primes
+
+    def rough(q):
+        h = (int(q) - 1) // 2
+        return _smooth_part(h) < h
+
+    size = rep.SIZES["real"]
+    for workload in ("sweep-small-q", "sweep-pool"):
+        spec = rep.make_inputs(workload, 0, size, 0)
+        assert spec["q_lo"] <= 53 <= spec["q_hi"] and rough(53)  # h = 2 * 13
+
+    # a band window is band_len consecutive primes of [band_lo, band_hi)
+    primes = sieve_primes(size["band_hi"] - 1)
+    run = longest = 0
+    for q in primes[primes >= size["band_lo"]]:
+        run = 0 if rough(q) else run + 1
+        longest = max(longest, run)
+    assert longest < size["band_len"]
+
+    for seed in range(1000):
+        qs = rep.make_inputs("verify-sample", seed, size, 0)["qs"]
+        assert any(rough(q) for q in qs), seed

@@ -56,7 +56,8 @@ class TestDftFast:
         with pytest.raises(ValueError):
             dft_naive(np.array([np.inf, 0.0]))
 
-    @pytest.mark.parametrize("n", [1, 256, 1000])  # n == 1, power of two, Bluestein
+    # n == 1, power of two, 11-smooth (library only), 2 * 499 (split with Bluestein rows)
+    @pytest.mark.parametrize("n", [1, 256, 1000, 998])
     def test_input_left_unchanged(self, rng, n):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         before = x.tobytes()
@@ -65,18 +66,39 @@ class TestDftFast:
 
     def test_cached_kernel_read_only_and_unchanged(self, rng):
         # verify-sample's pattern: a second transform of one length hits the
-        # cache and must find the kernel as the first call left it
-        n = 1000
+        # cache and must find the kernel as the first call left it; 998 =
+        # 2 * 499 runs its rows through the kernel of the rough part 499
+        n = 998
         fft._chirp_kernel.cache_clear()
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         first = dft_fast(x)
-        w, bhat = fft._chirp_kernel(n)
+        w, bhat = fft._chirp_kernel(n // 2)
         saved = (w.tobytes(), bhat.tobytes())
         assert not w.flags.writeable and not bhat.flags.writeable
         assert np.array_equal(dft_fast(x), first)
         info = fft._chirp_kernel.cache_info()
         assert (info.hits, info.misses) == (2, 1)
         assert (w.tobytes(), bhat.tobytes()) == saved
+
+    # s = n (11-smooth), s = 1 (no factor up to 11), and both parts nontrivial
+    @pytest.mark.parametrize(
+        "n,rough", [(1155, None), (1024, None), (1009, 1009), (221, 221), (998, 499), (884, 221)]
+    )
+    def test_split_shapes_vs_naive(self, rng, n, rough):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        fft._chirp_kernel.cache_clear()
+        a, b = dft_fast(x), dft_naive(x)
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+        assert fft._chirp_kernel.cache_info().misses == (rough is not None)
+        if rough is not None:
+            fft._chirp_kernel(rough)  # the one cached kernel is the rough part's
+            assert fft._chirp_kernel.cache_info().hits == 1
+
+    def test_split_all_small_radices_vs_numpy(self, rng):
+        n = 2 * 3 * 5 * 7 * 11 * 13  # 2310 rows of 13 points
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        a, b = dft_fast(x), np.fft.fft(x)
+        assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
 
 
 class TestTwiddle:
@@ -111,6 +133,21 @@ def _brute_spectrum(f, weights):
 
 
 class TestCharSpectrum:
+    def test_shares_the_production_kernel(self, field):
+        # h = 509 and q - 1 = 2 * 509 have the same rough part, so the
+        # full-length spectrum reuses the kernel the production route built
+        from bsratio.ratio import log_ratio_fft
+
+        f = field(1019)
+        w = np.zeros(f.q)
+        w[1:] = np.arange(1, f.q) / f.q
+        fft._chirp_kernel.cache_clear()
+        log_ratio_fft(f)
+        char_spectrum(f, w)
+        char_spectrum(f, w)
+        info = fft._chirp_kernel.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
     def test_q3_linear(self, field):
         spec = char_spectrum(field(3), np.array([0.0, 1 / 3, 2 / 3]))
         assert spec[1].real == pytest.approx(-1 / 3, abs=1e-15)

@@ -1,9 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bsratio
 from bsratio.errors import SchemaError
 from bsratio.figures import (
     MARGIN_T,
@@ -47,6 +52,23 @@ class TestComputeRange:
         compute_range(3, 700, out=a, threads=1)
         compute_range(3, 700, out=b, threads=2)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_row_independent_of_blas_threads(self, tmp_path):
+        # from q = 20021 on a BLAS dot would split err_est's norm across the
+        # ambient BLAS threads; the row must not depend on their number
+        src = str(Path(bsratio.__file__).resolve().parents[1])
+        rows = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.csv"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            code = f"from bsratio.pipeline import compute_range; compute_range(20021, 20021, out={str(out)!r})"
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1]
 
     def test_torn_line_resume(self, csv100, tmp_path):
         full = csv100.read_bytes()

@@ -106,12 +106,15 @@ class TestFoldedRoute:
 
         monkeypatch.setattr(bsratio.fft, "dft_fast", counting)
         monkeypatch.setattr(scipy.special, "gammaln", no_gammaln)
-        f = field(1009)
-        bsratio.fft._chirp_kernel.cache_clear()
-        log_ratio_fft(f)
-        info = bsratio.fft._chirp_kernel.cache_info()
-        assert (info.hits, info.misses) == (0, 1)
-        assert lengths == [504]
+        # h = 504 is 11-smooth and needs no chirp kernel; h = 509 has a
+        # rough part and builds one
+        for q, misses in ((1009, 0), (1019, 1)):
+            lengths.clear()
+            bsratio.fft._chirp_kernel.cache_clear()
+            log_ratio_fft(field(q))
+            info = bsratio.fft._chirp_kernel.cache_info()
+            assert (info.hits, info.misses) == (0, misses)
+            assert lengths == [(q - 1) // 2]
 
 
 class TestLogRatioDigamma:
