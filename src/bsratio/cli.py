@@ -4,7 +4,7 @@ Subcommands: compute, verify, sigma, constants, hreg, stats, bounds.
 `verify` and `sigma` are two reports on one verifier pass: the prime-sum
 total of primesum.verify_ratio, with its prime / prime-power split, checked
 against the FFT route's log R(q).  main is the one error boundary: bad
-input exits 2, a failed check exits 1.
+input exits 2, a failed check exits 1, an interrupt exits 130.
 """
 
 from __future__ import annotations
@@ -216,6 +216,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE, what a shell reports for a killed writer
+    except KeyboardInterrupt:  # rows already written stay, and --resume continues after them
+        try:
+            print("interrupted", file=sys.stderr)
+        except KeyboardInterrupt:  # timeout(1) signals the process, then its group
+            pass
+        return 130  # 128 + SIGINT, what a shell reports for an interrupted command
     except VerificationError as exc:
         print(f"FAIL: {exc}")
         return 1

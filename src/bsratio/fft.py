@@ -14,13 +14,17 @@ ones use Bluestein's chirp-z reduction (IEEE Trans. Audio Electroacoust.
 18(4), 1970) to a cyclic convolution of length
 scipy.fft.next_fast_len(2r - 1); all s rows share one chirp kernel, and
 their transforms run in place on buffers _bluestein allocates itself.
-Every scipy.fft call uses one worker.  Twiddles e(-k/m) come from
-twiddle(), which splits the integer k as k1 B + k0 (B = isqrt(m) + 1) and
-multiplies entries of two tables of about sqrt(m) points, so a length-r
-chirp costs about 2 sqrt(2r) cos/sin evaluations instead of r complex
-exponentials.  The chirp reduces k^2 mod 2r exactly in integers first,
-and the split's twiddle index j k is below n, so accuracy is uniform up
-to lengths around 1e7.
+The split's twiddle is chirp-factored by Bluestein's own identity
+j k = ((j + k)^2 - j^2 - k^2)/2: three in-place products with entries
+of one table C_m = e(-m^2/(2n)), m < s + r - 1, instead of an s x r
+index matrix.  Every scipy.fft call uses one worker.  Every table of
+unit roots e(-k/m) comes from twiddle(), which splits the integer k as
+k1 B + k0 (B = isqrt(m) + 1) and multiplies entries of two tables of
+about sqrt(m) points, so a length-r chirp costs about 2 sqrt(2r)
+cos/sin evaluations instead of r complex exponentials; twiddle_range()
+is the same product for consecutive k, without the index arithmetic.
+Both chirps reduce m^2 mod 2n (k^2 mod 2r) exactly in integers first, so
+accuracy is uniform up to lengths around 1e7.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import scipy.fft as _sfft
 
 from .ntheory import PrimeField
 
+_BLOCK = 1 << 14
+
 
 def _fft(x: np.ndarray, overwrite: bool = False, axis: int = -1) -> np.ndarray:
     # workers pinned to 1: output must not depend on ambient thread counts
@@ -44,14 +50,19 @@ def _ifft(x: np.ndarray) -> np.ndarray:
     return _sfft.ifft(x, workers=1, overwrite_x=True)
 
 
-def _unit_roots(j: np.ndarray, m: int) -> np.ndarray:
-    # e(-j/m) with j shifted into (-m/2, m/2] first, so |angle| <= pi
-    j = np.where(2 * j > m, j - m, j)
-    return np.exp((-2j * np.pi / m) * j)
+def _twiddle_tables(m: int) -> tuple[int, np.ndarray, np.ndarray]:
+    # B = isqrt(m) + 1 and e(-j/m) at j = k1 B (k1 <= m // B) and at j = k0
+    # (k0 < B), each exact integer j shifted into (-m/2, m/2] first so that
+    # |angle| <= pi; only the k1 above m/(2B) move, as k0 <= m/2 for m >= 2
+    B = math.isqrt(m) + 1
+    j = B * np.arange(m // B + 1, dtype=np.int64)
+    j[m // (2 * B) + 1 :] -= m
+    step = -2j * np.pi / m
+    return B, np.exp(step * j), np.exp(step * np.arange(B, dtype=np.int64))
 
 
 def twiddle(k: np.ndarray, m: int) -> np.ndarray:
-    """e(-k/m) for an int64 array of integers 0 <= k < m.
+    """e(-k/m) for a 1-d int64 array of integers 0 <= k < m, m >= 2.
 
     With B = isqrt(m) + 1 and k = k1 B + k0, 0 <= k0 < B, the result is
     e(-k1 B/m) e(-k0/m): the product of an entry from each of two tables
@@ -60,13 +71,28 @@ def twiddle(k: np.ndarray, m: int) -> np.ndarray:
     exceeds pi; against a 30-digit reference the error was at most 2.5 eps
     in samples at m up to 2e6.
     """
-    B = math.isqrt(m) + 1
-    k1 = k // B
-    out = _unit_roots(B * np.arange(m // B + 1, dtype=np.int64), m).take(k1)
-    k1 *= -B
-    k1 += k  # now k0 = k - k1 B
-    out *= _unit_roots(np.arange(B, dtype=np.int64), m).take(k1)
+    B, coarse, fine = _twiddle_tables(m)
+    out = np.empty(k.shape, dtype=np.complex128)
+    # in blocks, so that the index and gather temporaries stay in cache
+    for lo in range(0, k.size, _BLOCK):
+        kb, ob = k[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
+        k1 = kb // B
+        coarse.take(k1, out=ob)
+        k1 *= -B
+        k1 += kb  # now k0 = k - k1 B
+        ob *= fine.take(k1)
     return out
+
+
+def twiddle_range(count: int, m: int) -> np.ndarray:
+    """e(-k/m) for k = 0..count-1, count <= m.
+
+    The outer product of twiddle()'s two tables, flattened: bitwise equal
+    to twiddle(np.arange(count), m), with no index arithmetic and no
+    gather.
+    """
+    B, coarse, fine = _twiddle_tables(m)
+    return np.multiply.outer(coarse[: -(-count // B)], fine).reshape(-1)[:count]
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -95,28 +121,33 @@ def dft_naive(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chirp(count: int, n: int) -> np.ndarray:
+    # e(-k^2/(2n)) for k = 0..count-1, k^2 reduced mod 2n in integers first
+    k = np.arange(count, dtype=np.int64)
+    k *= k
+    k %= 2 * n
+    return twiddle(k, 2 * n)
+
+
 @lru_cache(maxsize=1)
 def _chirp_kernel(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chirp w[k] = e(-k^2/(2n)) and the transformed convolution kernel.
 
-    k^2 is reduced mod 2n in integer arithmetic and the chirp taken from
-    twiddle(), so the argument never exceeds pi and the twiddles stay
-    accurate at any length.  The kernel's mirror image is copied from its
-    own first half and transformed in place.  n is the rough part of a
-    transform length.  One entry is cached: the production route runs one
-    transform of length h = (q-1)/2 per q, and the full-length spectra
-    (digamma route, verifier) use q-1 = 2h, whose rough part is h's, so
-    every transform one q touches shares one kernel; a second entry would
-    only hold the previous q's.  Both arrays are read-only, since every
-    call of that length shares them.
+    The chirp comes from _chirp(), so its argument never exceeds pi and
+    it stays accurate at any length.  The kernel's mirror image is copied
+    from its own first half and transformed in place.  n is the rough
+    part of a transform length.  One entry is cached: the production
+    route runs one transform of length h = (q-1)/2 per q, and the
+    full-length spectra (digamma route, verifier) use q-1 = 2h, whose
+    rough part is h's, so every transform one q touches shares one
+    kernel; a second entry would only hold the previous q's.  Both arrays
+    are read-only, since every call of that length shares them.
     """
-    k = np.arange(n, dtype=np.int64)
-    k *= k
-    k %= 2 * n
-    w = twiddle(k, 2 * n)
+    w = _chirp(n, n)
     size = _sfft.next_fast_len(2 * n - 1, real=False)
-    b = np.zeros(size, dtype=np.complex128)
+    b = np.empty(size, dtype=np.complex128)
     np.conjugate(w, out=b[:n])
+    b[n : size - n + 1] = 0.0
     b[size - n + 1 :] = b[n - 1 : 0 : -1]
     bhat = _fft(b, overwrite=True)
     w.setflags(write=False)
@@ -124,17 +155,35 @@ def _chirp_kernel(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, bhat
 
 
-def _bluestein(x: np.ndarray) -> np.ndarray:
-    # the DFT of each row of x (1-d or 2-d); both inner transforms overwrite
-    # a, which nothing outside this call sees
+def _bluestein(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # the DFT of each row of x (1-d or 2-d), into out if given; both inner
+    # transforms overwrite a, which nothing outside this call sees
     n = x.shape[-1]
     w, bhat = _chirp_kernel(n)
-    a = np.zeros(x.shape[:-1] + bhat.shape, dtype=np.complex128)
+    a = np.empty(x.shape[:-1] + bhat.shape, dtype=np.complex128)
+    a[..., n:] = 0.0
     np.multiply(x, w, out=a[..., :n])
     a = _fft(a, overwrite=True)
     a *= bhat
-    a = _ifft(a)
-    return np.multiply(a[..., :n], w)
+    a = _ifft(a)[..., :n]
+    a *= w
+    if out is None:
+        return a.copy()
+    out[...] = a  # a plain copy strides through a transposed out faster than a product
+    return out
+
+
+def _split_twiddle(y: np.ndarray, n: int) -> None:
+    # y[k1, m2] *= e(-k1 m2/n) in place, chirp-factored by Bluestein's
+    # identity k1 m2 = ((k1 + m2)^2 - k1^2 - m2^2)/2:
+    # e(-k1 m2/n) = C[k1 + m2] conj(C[k1]) conj(C[m2]), C[m] = e(-m^2/(2n)),
+    # one table of s + r - 1 points
+    s, r = y.shape
+    c = _chirp(s + r - 1, n)
+    y *= np.ndarray((s, r), np.complex128, c, 0, (c.itemsize, c.itemsize))  # C[k1 + m2]
+    np.conjugate(c, out=c)
+    y *= c[:s, None]
+    y *= c[:r]
 
 
 def _smooth_part(n: int) -> int:
@@ -153,9 +202,11 @@ def dft_fast(x: np.ndarray) -> np.ndarray:
     as m = m1 r + m2 and k = k1 + s k2,
         X[k1 + s k2] = sum_m2 e(-m2 k2/r) e(-m2 k1/n) sum_m1 x[m1 r + m2] e(-m1 k1/s):
     the library transform of length s down the columns of x.reshape(s, r),
-    the twiddle e(-k1 m2/n), then Bluestein along the s rows of length r.
-    An 11-smooth length (s = n) goes straight to the library transform, a
-    length with no prime factor up to 11 (s = 1) straight to Bluestein.
+    the twiddle e(-k1 m2/n), chirp-factored (_split_twiddle), then
+    Bluestein along the s rows of length r, written straight into the
+    transposed output order.  An 11-smooth length (s = n) goes straight
+    to the library transform, a length with no prime factor up to 11
+    (s = 1) straight to Bluestein.
     """
     x = _check_finite(x)
     n = x.shape[0]
@@ -166,8 +217,12 @@ def dft_fast(x: np.ndarray) -> np.ndarray:
         return _bluestein(x)
     r = n // s
     y = _fft(x.reshape(s, r), axis=0)
-    y *= twiddle(np.outer(np.arange(s, dtype=np.int64), np.arange(r, dtype=np.int64)), n)
-    return _bluestein(y).T.ravel()
+    _split_twiddle(y, n)
+    # X[k1 + s k2] lands at out[k1, k2] of the (r, s) transpose of y's own
+    # memory (y is C-ordered), free once Bluestein's pre-chirp has read it
+    out = y.reshape(r, s)
+    _bluestein(y, out.T)
+    return out.reshape(n)
 
 
 def char_spectrum(field: PrimeField, f: np.ndarray) -> np.ndarray:

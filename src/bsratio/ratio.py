@@ -85,7 +85,7 @@ def _digamma_weights(q: int) -> np.ndarray:
 
 
 def _guard_bins(mag: np.ndarray, q: int, what: str) -> None:
-    if mag.size and float(np.min(mag)) < _DEGENERATE:
+    if mag.size and float(np.minimum.reduce(mag)) < _DEGENERATE:
         raise DegenerateSpectrumError(
             f"q={q}: {what} character sum below {_DEGENERATE:g}; "
             "L(1,chi) cannot vanish, so this is a precision failure"
@@ -102,17 +102,19 @@ def _even_pref(q: int) -> float:
     return ((q - 3) / 2) * (math.log(2.0) - math.log(q) / 2)
 
 
-def _class_sum(pref: float, p: np.ndarray) -> float:
-    """pref + sum(p), in effect exactly: the error-free ExtractVector split
-    of Rump, Ogita and Oishi (SIAM J. Sci. Comput. 31(1), 2008), vectorised.
+def _class_sum(pref: float, p: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+    """pref + sum(p), in effect exactly, and sum|p_i|; p is overwritten
+    and t, a scratch array of p's size, too.
 
-    With n = len(p), mu = max|p_i| and sigma a power of two >= (n+2) mu
+    The sum is the error-free ExtractVector split of Rump, Ogita and
+    Oishi (SIAM J. Sci. Comput. 31(1), 2008), vectorised.  With n = len(p),
+    mu = max|p_i| and sigma a power of two >= (n+2) mu
     (sigma < 4 (n+2) mu), hi_i = (sigma + p_i) - sigma and lo_i = p_i - hi_i
     are exact: p_i = hi_i + lo_i, the hi_i are multiples of u sigma
-    (u = eps/2) whose partial sums stay below sigma, so np.sum adds them
-    without error in any order, and |lo_i| <= u sigma.  Only two roundings
-    are left.  np.sum adds a contiguous array pairwise, in blocks of at
-    most 128 terms that pass each term through at most 25 additions, so
+    (u = eps/2) whose partial sums stay below sigma, so np.add.reduce adds
+    them without error in any order, and |lo_i| <= u sigma.  Only two
+    roundings are left.  np.add.reduce adds an array pairwise, in blocks
+    of at most 128 terms that pass each term through at most 25 additions, so
     the sum of the lo_i errs by at most (25 + log2 n) u sum|lo_i| <
     4 (25 + log2 n) n (n+2) u^2 mu.  Against the 2 eps sum_j w_j >= 4 u n
     that _record budgets for the sum, that is a share below
@@ -122,25 +124,41 @@ def _class_sum(pref: float, p: np.ndarray) -> float:
     ||x||_1 < 1e15, so (n + 2) mu < 3.5e8.  The final fsum of three terms
     rounds once, as math.fsum over all n + 1 did.
     """
-    mu = float(np.max(np.abs(p), initial=0.0))
+    np.abs(p, out=t)
+    # the ufuncs' own reduce: np.sum and np.max wrap it in Python calls
+    # that cost more than the sum itself at small q
+    mu = float(np.maximum.reduce(t, initial=0.0))
+    abs_sum = float(np.add.reduce(t))
     sigma = math.ldexp(1.0, (p.size + 1).bit_length() + math.frexp(mu)[1])
-    hi = p + sigma
-    hi -= sigma
-    return math.fsum([pref, float(np.sum(hi)), float(np.sum(p - hi))])
+    np.add(p, sigma, out=t)
+    t -= sigma  # hi
+    p -= t  # lo
+    return math.fsum([pref, float(np.add.reduce(t)), float(np.add.reduce(p))]), abs_sum
 
 
-def _record(q: int, odd: tuple, even: tuple, signal: np.ndarray | None = None) -> RatioRecord:
+def _norm(v: np.ndarray) -> float:
+    # ||v||_2 of a real or complex array; einsum runs its own loop, not a
+    # BLAS dot, which splits long inputs across the ambient BLAS threads
+    # and would make err_est's bytes follow them
+    v = v.view(np.float64)
+    return math.sqrt(float(np.einsum("i,i->", v, v)))
+
+
+def _record(q: int, odd: tuple, even: tuple, transform: tuple | None = None) -> RatioRecord:
     """The one assembly step from spectrum magnitudes to a RatioRecord.
 
-    Each parity class is (pref, |X_j|, w, s): its part of log R is
+    Each parity class is (pref, |X_j|/s, w, s): its part of log R is
     pref + sum_j w_j log(|X_j|/s), with w_j the number of characters bin j
     stands for and s an exact power-of-two scale, summed by _class_sum.
-    signal is the array the one transform behind every |X_j| ran on, or
-    None when no transform produced them (then err_est = 0).
+    The weights of a class add up to its number of characters, (q-1)/2
+    odd and (q-3)/2 even ones.  The magnitude arrays are overwritten.
+    transform is (L, ||x||_2) for the one length-L transform of the signal
+    x behind every |X_j|, or None when no transform produced them (then
+    err_est = 0).
 
     err_est is a norm-wise budget; heuristic, not certified.  With
-    n = q - 1 bins, L = len(signal) and x the n real weights the signal
-    holds, the computed spectrum is taken to satisfy
+    n = q - 1 bins and x the n real weights the signal holds, the
+    computed spectrum is taken to satisfy
         ||dX||_2 <= eps sqrt(n) ((4 log2 L + 2) ||x||_2 + 3 sqrt n):
     4 eps log2(L) sqrt(n) ||x||_2 for the transform (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., ch. 24), and the rounding
@@ -149,26 +167,43 @@ def _record(q: int, odd: tuple, even: tuple, signal: np.ndarray | None = None) -
     sum_j w_j |dX_j|/|X_j| <= ||dX||_2 (sum_j w_j/|X_j|^2)^(1/2), the
     consumed bins standing for their conjugates.  The rounding of abs, log,
     the prefactor and the class sum adds 2 eps (|pref| + sum_j w_j (1 +
-    |log|X_j/s||)) per class; the class sum takes a vanishing share of it.
+    |log(|X_j|/s)|)) per class; the class sum takes a vanishing share of it.
     """
     parts, inv_sq, rounding = [], 0.0, 0.0
-    for what, (pref, mag, w, s) in (("odd", odd), ("even", even)):
+    for what, count, (pref, mag, w, s) in (("odd", (q - 1) / 2, odd), ("even", (q - 3) / 2, even)):
         _guard_bins(mag, q, what)
-        logs = np.log(mag / s)
+        t = np.multiply(mag, mag)
+        np.divide(w, t, out=t)
+        inv_sq += float(np.add.reduce(t)) / (s * s)
+        logs = np.log(mag, out=mag)
         logs *= w
-        parts.append(_class_sum(pref, logs))
-        inv_sq += float(np.sum(w / (mag * mag)))
-        rounding += abs(pref) + float(np.sum(w + np.abs(logs)))
+        part, abs_sum = _class_sum(pref, logs, t)
+        parts.append(part)
+        rounding += abs(pref) + count + abs_sum
     err_est = 0.0
-    if signal is not None:
+    if transform is not None:
+        length, norm_x = transform
         root_n = math.sqrt(q - 1)
-        # a pairwise sum, not np.linalg.norm: a BLAS dot splits long inputs
-        # across the ambient BLAS threads, and err_est's bytes would follow
-        v = signal.view(np.float64)
-        norm_x = math.sqrt(float(np.sum(v * v)))
-        dx = root_n * ((4.0 * math.log2(max(signal.size, 2)) + 2.0) * norm_x + 3.0 * root_n)
+        dx = root_n * ((4.0 * math.log2(max(length, 2)) + 2.0) * norm_x + 3.0 * root_n)
         err_est = float(_EPS * (dx * math.sqrt(inv_sq) + 2.0 * rounding))
     return RatioRecord(q, parts[0], parts[1], err_est)
+
+
+def _log_index_signal(field: PrimeField) -> np.ndarray:
+    # x = (y + c, y - c) of log_ratio_fft, built in place; c is the one
+    # temporary, and it is gone before the transform allocates its buffers
+    q, h = field.q, field.n // 2
+    a = field.pow_table[:h]
+    x = np.empty(field.n)
+    y = x[:h]  # y, then y + c
+    np.minimum(a, field.pow_table[h:], out=y)  # q - a_k = a_{k+h}
+    y *= np.pi / q
+    np.log(np.sin(y, out=y), out=y)
+    c = a - q / 2
+    c /= q
+    np.subtract(y, c, out=x[h:])
+    y += c
+    return x
 
 
 def log_ratio_fft(field: PrimeField) -> RatioRecord:
@@ -189,43 +224,41 @@ def log_ratio_fft(field: PrimeField) -> RatioRecord:
     itself and its conjugate q-1-j (weight 2), except j = h (weight 1).
     With Z the transform of the zero-copy view z_k = x_{2k} + i x_{2k+1},
       X_j = (Z_j + conj Z_{h-j})/2 - (i/2) e(-j/(q-1)) (Z_j - conj Z_{h-j}),
-    indices mod h.  Odd bins are the odd class; even bins j >= 2, halved,
-    the even class, each with the prefactor of its naive-route sums.  At
-    q = 3 (h = 1) the even class is empty.
+    indices mod h, computed as Q + alpha (P - Q) with P = Z_j,
+    Q = conj Z_{h-j} and alpha = (1 - i e(-j/(q-1)))/2.  Odd bins are the
+    odd class; even bins j >= 2, halved, the even class, each with the
+    prefactor of its naive-route sums.  At q = 3 (h = 1) the even class
+    is empty.
     """
     q, n = field.q, field.n
     h = n // 2
-    a = field.pow_table[:h]
-    x = np.empty(n)
-    y = x[:h]  # y, then y + c; built in place to keep the peak RSS down
-    np.multiply(np.minimum(a, q - a), np.pi / q, out=y)
-    np.log(np.sin(y, out=y), out=y)
-    c = a - q / 2
-    c /= q
-    np.subtract(y, c, out=x[h:])
-    y += c
+    x = _log_index_signal(field)
     z = x.view(np.complex128)
+    transform = (h, _norm(x))
     zj = fft.dft_fast(z)
-    # X_0 and X_h need only Z_0 (Z_h = Z_0, e(-h/(q-1)) = -1)
-    mag = np.empty(h + 1)
-    mag[0] = abs(zj[0].real + zj[0].imag)
-    mag[h] = abs(zj[0].real - zj[0].imag)
-    # j = 1..h-1 in place: s = Z_j + conj Z_{h-j} overwrites Z_j, d = Z_j -
-    # conj Z_{h-j} = s - 2 conj Z_{h-j} overwrites the conjugate copy
-    s, d = zj[1:], np.conj(zj[:0:-1])
-    s += d
-    d *= -2.0
-    d += s
-    d *= fft.twiddle(np.arange(1, h, dtype=np.int64), n)  # e(-j/(q-1))
-    d *= -1j
-    s += d
-    np.abs(s, out=mag[1:h])
-    mag[1:h] *= 0.5  # |X_j|, split step done
-    w = np.full(h + 1, 2.0)
-    w[h] = 1.0
-    odd = (_odd_pref(q), mag[1::2], w[1::2], 1.0)
-    even = (_even_pref(q), mag[2::2], w[2::2], 2.0)
-    return _record(q, odd, even, z)
+    # X_j = Q + alpha (P - Q) for j = 1..h-1; Q goes to z's memory, free now
+    p, qc = zj[1:], np.conjugate(zj[:0:-1], out=z[1:])
+    p -= qc
+    alpha = fft.twiddle_range(h, n)[1:]
+    alpha *= -0.5j
+    alpha += 0.5
+    p *= alpha
+    p += qc
+    # |X_j| of the odd bins j = 1, 3, .. and of the even bins j = 2, 4, ..
+    # up to h, each class contiguous
+    mag = np.empty(h)
+    ho = (h + 1) // 2  # odd bins
+    np.abs(p[0::2], out=mag[: h // 2])
+    np.abs(p[1::2], out=mag[ho : ho + (h - 1) // 2])
+    # bin h closes its class: X_h = Re Z_0 - Im Z_0 (Z_h = Z_0, e(-h/(q-1)) = -1)
+    last = ho - 1 if h % 2 else h - 1
+    mag[last] = abs(zj[0].real - zj[0].imag)
+    mag[ho:] *= 0.5  # the even class, |X_j|/2
+    w = np.full(h, 2.0)
+    w[last] = 1.0
+    odd = (_odd_pref(q), mag[:ho], w[:ho], 1.0)
+    even = (_even_pref(q), mag[ho:], w[ho:], 2.0)
+    return _record(q, odd, even, transform)
 
 
 def log_ratio_digamma(field: PrimeField) -> RatioRecord:
@@ -236,7 +269,7 @@ def log_ratio_digamma(field: PrimeField) -> RatioRecord:
     # log|L(1,chi_j)| = -log q + log|S_j|, split by parity class: chi_j(-1) = (-1)^j
     odd = (-((q - 1) / 2) * math.log(q), np.abs(spec[1::2]), 1.0, 1.0)
     even = (-((q - 3) / 2) * math.log(q), np.abs(spec[2::2]), 1.0, 1.0)
-    return _record(q, odd, even, f[1:])
+    return _record(q, odd, even, (q - 1, _norm(f[1:])))
 
 
 def _naive_abs_sums(field: PrimeField) -> np.ndarray:

@@ -6,7 +6,9 @@ never called shows up as a missing name or a null or non-finite value,
 which the benchmark cannot parse as a metric.  So can the values a
 traced run adds outside layer_metrics: the chirp-cache counters and the
 memory the cache retains.  This runs the traced sweep-small-q and
-verify-sample bodies in-process on tiny inputs.
+verify-sample bodies in-process on tiny inputs, and the whole traced
+benchmark on its smoke inputs, where every metric of every workload must
+come out a finite number.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-REP_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "rep.py"
+ROOT = Path(__file__).resolve().parent.parent
+REP_PATH = ROOT / "perfbench" / "rep.py"
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +105,30 @@ def test_every_workload_reaches_a_rough_length(rep):
     for seed in range(1000):
         qs = rep.make_inputs("verify-sample", seed, size, 0)["qs"]
         assert any(rough(q) for q in qs), seed
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite constant {name} in a result line")
+
+
+def test_traced_smoke_run_every_metric_finite_on_every_workload():
+    # a result line with a NaN, an Infinity or a null metric is what a
+    # benchmark driver cannot read; any one workload having one is enough
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
+         "--seed", "3", "--seconds", "0", "--trace", "1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
+    assert len(lines) == len(spec["workloads"])
+    assert proc.stdout.splitlines()[-1] == lines[-1]
+    for line, workload in zip(lines, spec["workloads"]):
+        res = json.loads(line, parse_constant=_no_constant)
+        assert res["correct"] is True and res["failed"] == 0, workload["name"]
+        assert list(res["metrics"]) == [m["name"] for m in spec["per_layer"]]
+        for name, metric in res["metrics"].items():
+            value = metric["value"]
+            finite = type(value) in (int, float) and math.isfinite(value)
+            assert finite, (workload["name"], name, value)

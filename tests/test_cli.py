@@ -151,3 +151,26 @@ def test_closed_stdout_exits_141_quietly(tmp_path, monkeypatch, capsys):
     finally:
         os.close(fd)
     assert capsys.readouterr().err == ""
+
+
+def test_interrupt_exits_130_and_resumes(tmp_path, monkeypatch, capsys):
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    argv = ["compute", "--from", "3", "--to", "200", "--out"]
+    assert main(argv + [str(full)]) == 0
+    worker, rows = pipeline._worker, []
+
+    def interrupted_after_ten_rows(arg):
+        if len(rows) == 10:
+            raise KeyboardInterrupt
+        rows.append(arg)
+        return worker(arg)
+
+    monkeypatch.setattr(pipeline, "_worker", interrupted_after_ten_rows)
+    capsys.readouterr()
+    assert main(argv + [str(part)]) == 130
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "interrupted\n")
+    assert len(part.read_text().splitlines()) == 1 + 10  # header and the finished rows
+    monkeypatch.setattr(pipeline, "_worker", worker)
+    assert main(argv + [str(part), "--resume"]) == 0
+    assert part.read_bytes() == full.read_bytes()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from bsratio import fft
-from bsratio.fft import char_spectrum, dft_fast, dft_naive, twiddle
+from bsratio.fft import char_spectrum, dft_fast, dft_naive, twiddle, twiddle_range
 from bsratio.ntheory import sieve_primes
 
 
@@ -101,6 +101,38 @@ class TestDftFast:
         assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
 
 
+def _longdouble_bins(x, bins):
+    """X_j = sum_k x_k e(-jk/n) at the given bins, with no transform code:
+    the exact integer index jk mod n, shifted into (-n/2, n/2], then cos
+    and sin in np.longdouble and long-double sums."""
+    n = x.shape[0]
+    two_pi_over_n = 8 * np.arctan(np.longdouble(1)) / n
+    k = np.arange(n, dtype=np.int64)
+    re, im = x.real.astype(np.longdouble), x.imag.astype(np.longdouble)
+    out = []
+    for j in bins:
+        idx = (j * k) % n
+        idx[2 * idx > n] -= n
+        ang = two_pi_over_n * idx.astype(np.longdouble)
+        c, s = np.cos(ang), np.sin(ang)
+        out.append(complex(float(np.sum(re * c + im * s)), float(np.sum(im * c - re * s))))
+    return np.array(out)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+class TestBinAccuracy:
+    # a split shape near 1e5 (12 x 8333) and a band one (16 x 28211), four
+    # fixed bins each, against a reference good to far below double eps
+    @pytest.mark.parametrize("n", [99996, 451376])
+    def test_bins_vs_longdouble_reference(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        bins = [1, 12345, n // 2 + 1, n - 2]
+        err = np.abs(dft_fast(x)[bins] - _longdouble_bins(x, bins))
+        eps = np.finfo(np.float64).eps
+        assert float(np.max(err)) <= 8 * eps * float(np.linalg.norm(x))
+
+
 class TestTwiddle:
     EPS = np.finfo(np.float64).eps
 
@@ -119,6 +151,14 @@ class TestTwiddle:
         rng = np.random.default_rng(m)
         ks = np.unique(np.concatenate([[0, 1, m // 4, m // 2, m - 1], rng.integers(0, m, 300)]))
         assert self._err_in_eps(twiddle(ks.astype(np.int64), m), ks, m) <= 8.0
+
+
+    # the split step's consecutive run: the same table products, no gather
+    @pytest.mark.parametrize("m", [2, 3, 10, 9998, 1999964])
+    def test_range_is_twiddle_bitwise(self, m):
+        for count in sorted({1, m // 2, m}):
+            ref = twiddle(np.arange(count, dtype=np.int64), m)
+            assert twiddle_range(count, m).tobytes() == ref.tobytes()
 
 
 def _brute_spectrum(f, weights):

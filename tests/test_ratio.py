@@ -230,12 +230,34 @@ class TestErrEstimate:
     def test_no_looser_than_l1_budget(self, field, q):
         assert log_ratio_fft(field(q)).err_est <= self.L1_BUDGET[q]
 
+    # (fft, digamma) err_est as the budget stood before _record took the
+    # log in place and summed the weights by class: a rewrite of the
+    # assembly step must not drop or rescale a term of either route
+    PINNED = {
+        1019: (3.3133360047104195e-11, 2.1759723543384443e-11),
+        20021: (9.470033443878558e-10, 6.010011994964727e-10),
+        99991: (5.503872641446453e-09, 3.469651835849785e-09),
+    }
+
+    @pytest.mark.parametrize("q", sorted(PINNED))
+    def test_pinned_budget_of_both_routes(self, field, q):
+        fft_est, digamma_est = self.PINNED[q]
+        assert log_ratio_fft(field(q)).err_est == pytest.approx(fft_est, rel=1e-9, abs=0)
+        assert log_ratio_digamma(field(q)).err_est == pytest.approx(digamma_est, rel=1e-9, abs=0)
+
 
 class TestClassSum:
     @staticmethod
     def _check(pref, p):
         ref = math.fsum([pref] + p.tolist())
-        assert abs(_class_sum(pref, p) - ref) <= math.ulp(ref)
+        abs_ref = math.fsum(np.abs(p).tolist())
+        # contiguous, and strided as log_ratio_fft passes each class
+        strided = np.empty(2 * p.size)
+        for arg in (p.copy(), strided[1::2]):
+            arg[:] = p
+            got, abs_sum = _class_sum(pref, arg, np.empty(p.size))
+            assert abs(got - ref) <= math.ulp(ref)
+            assert abs(abs_sum - abs_ref) <= 1e-12 * abs_ref
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 250001])
     def test_random_vs_fsum(self, rng, n):
@@ -252,7 +274,7 @@ class TestClassSum:
         self._check(pref, p)
 
     def test_empty_class(self, field):
-        assert _class_sum(-1.25, np.empty(0)) == -1.25
+        assert _class_sum(-1.25, np.empty(0), np.empty(0)) == (-1.25, 0.0)
         rec = log_ratio_fft(field(3))
         assert rec.even_part == 0.0
 
