@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import figures, pipeline, primesum, ratio
-from .errors import VerificationError
+from .errors import SchemaError, VerificationError
 from .ntheory import build_field, is_prime
 from .specfun import constants_table
 
@@ -38,7 +38,7 @@ def _verifier_pass(args):
 
 
 def _cmd_compute(args) -> int:
-    manifest = pipeline.compute_range(
+    last = pipeline.compute_range(
         args.from_q,
         args.to_q,
         out=args.out,
@@ -47,8 +47,8 @@ def _cmd_compute(args) -> int:
         paranoid=args.paranoid,
     )
     print(
-        f"range [{manifest.range[0]}, {manifest.range[1]}] -> {manifest.output_path} "
-        f"(completed through {manifest.completed_through}, threads={manifest.thread_count})"
+        f"range [{args.from_q}, {args.to_q}] -> {Path(args.out)} "
+        f"(completed through {last}, threads={args.threads})"
     )
     return 0
 
@@ -118,7 +118,10 @@ def _cmd_hreg(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    summary = pipeline.summarize(args.in_path)
+    rows = pipeline.load_rows(args.in_path)
+    if not rows:
+        raise SchemaError(f"{args.in_path}: no data rows")
+    summary = pipeline.summarize(rows)
     print(f"rows            {summary.count}")
     print(f"mean R          {summary.mean_R!r}")
     print(f"mean R_norm     {summary.mean_R_norm!r}")
@@ -128,11 +131,10 @@ def _cmd_stats(args) -> int:
     print(f"2q-1 prime      {summary.count_2qm1} rows, mean R {summary.mean_R_2qm1!r}")
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    figures.plot_scatter(args.in_path, normalized=False, out_path=outdir / "values_scatter.svg")
-    figures.plot_scatter(args.in_path, normalized=True, out_path=outdir / "normalized_scatter.svg")
-    if summary.count >= 2:
-        figures.plot_histogram(args.in_path, normalized=False, out_path=outdir / "values_hist.svg")
-        figures.plot_histogram(args.in_path, normalized=True, out_path=outdir / "normalized_hist.svg")
+    for normalized, stem in ((False, "values"), (True, "normalized")):
+        figures.plot_scatter(rows, normalized, outdir / f"{stem}_scatter.svg")
+        if len(rows) >= 2:  # one row has no spread to bin
+            figures.plot_histogram(rows, normalized, outdir / f"{stem}_hist.svg")
     print(f"figures -> {outdir}")
     return 0
 

@@ -155,8 +155,8 @@ def _chirp_kernel(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, bhat
 
 
-def _bluestein(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # the DFT of each row of x (1-d or 2-d), into out if given; both inner
+def _bluestein(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # the DFT of each row of x (1-d or 2-d), into out; both inner
     # transforms overwrite a, which nothing outside this call sees
     n = x.shape[-1]
     w, bhat = _chirp_kernel(n)
@@ -167,8 +167,6 @@ def _bluestein(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     a *= bhat
     a = _ifft(a)[..., :n]
     a *= w
-    if out is None:
-        return a.copy()
     out[...] = a  # a plain copy strides through a transposed out faster than a product
     return out
 
@@ -214,7 +212,7 @@ def dft_fast(x: np.ndarray) -> np.ndarray:
     if s == n:
         return _fft(x)
     if s == 1:
-        return _bluestein(x)
+        return _bluestein(x, np.empty_like(x))
     r = n // s
     y = _fft(x.reshape(s, r), axis=0)
     _split_twiddle(y, n)

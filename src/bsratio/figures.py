@@ -1,6 +1,6 @@
 """Deterministic SVG emitters for the scatter and histogram views.
 
-Hand-rolled SVG with fixed formatting: the same input file always produces
+Hand-rolled SVG with fixed formatting: the same rows always produce
 byte-identical output, which plotting libraries do not guarantee.
 """
 
@@ -11,8 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import SchemaError
-from .pipeline import StatsRow, load_rows
+from .pipeline import StatsRow
 
 WIDTH, HEIGHT = 960, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 20, 50
@@ -103,15 +102,12 @@ def scatter_scale(rows: list[StatsRow], normalized: bool) -> tuple[float, float,
     return xlo, xhi, ylo, yhi
 
 
-def plot_scatter(in_path: str | os.PathLike, normalized: bool, out_path: str | os.PathLike) -> None:
+def plot_scatter(rows: list[StatsRow], normalized: bool, out_path: str | os.PathLike) -> None:
     """Scatter of (q, R) or (q, R (log q)^0.75) with a dashed mean line.
 
     The q=3 point, when present, is drawn enlarged in red (it carries the
     maximal R by a wide margin).
     """
-    rows = load_rows(in_path)
-    if not rows:
-        raise SchemaError(f"{in_path}: no data rows")
     values = _values(rows, normalized)
     xlo, xhi, ylo, yhi = scatter_scale(rows, normalized)
 
@@ -165,12 +161,9 @@ def histogram_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
-def plot_histogram(in_path: str | os.PathLike, normalized: bool, out_path: str | os.PathLike) -> None:
+def plot_histogram(rows: list[StatsRow], normalized: bool, out_path: str | os.PathLike) -> None:
     """Histogram of the full population with both flagged subpopulations
     (2q+1 prime, 2q-1 prime) superimposed on the same bins."""
-    rows = load_rows(in_path)
-    if len(rows) < 2:
-        raise SchemaError(f"{in_path}: need at least 2 rows for a histogram")
     values = _values(rows, normalized)
     edges, counts = histogram_scale(values)
     p1 = np.array([row.flag_2qp1 for row in rows])

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError
-from .ntheory import PrimeField, build_field, is_prime, sieve_primes
+from .ntheory import build_field, is_prime, sieve_primes
 from .ratio import log_ratio_digamma, log_ratio_fft
 
 CSV_HEADER = "q,g,log_R,R,R_norm,err_est,flag_2qp1,flag_2qm1"
@@ -40,30 +41,6 @@ class StatsRow:
     flag_2qm1: bool
 
 
-@dataclass(frozen=True)
-class BatchManifest:
-    range: tuple[int, int]
-    completed_through: int | None
-    output_path: str
-    schema_version: int
-    thread_count: int
-
-
-def compute_row(field: PrimeField) -> StatsRow:
-    q = field.q
-    rec = log_ratio_fft(field)
-    return StatsRow(
-        q=q,
-        g=field.g,
-        log_R=rec.log_R,
-        R=rec.R,
-        R_norm=rec.R * math.log(q) ** 0.75,
-        err_est=rec.err_est,
-        flag_2qp1=is_prime(2 * q + 1),
-        flag_2qm1=is_prime(2 * q - 1),
-    )
-
-
 def _format_row(row: StatsRow) -> str:
     return (
         f"{row.q},{row.g},{row.log_R!r},{row.R!r},{row.R_norm!r},"
@@ -74,7 +51,17 @@ def _format_row(row: StatsRow) -> str:
 def _worker(args: tuple[int, bool]) -> tuple[str, float | None]:
     q, paranoid = args
     field = build_field(q)
-    row = compute_row(field)
+    rec = log_ratio_fft(field)
+    row = StatsRow(
+        q=q,
+        g=field.g,
+        log_R=rec.log_R,
+        R=rec.R,
+        R_norm=rec.R * math.log(q) ** 0.75,
+        err_est=rec.err_est,
+        flag_2qp1=is_prime(2 * q + 1),
+        flag_2qm1=is_prime(2 * q - 1),
+    )
     disagreement = None
     if paranoid:
         alt = log_ratio_digamma(field)
@@ -82,6 +69,15 @@ def _worker(args: tuple[int, bool]) -> tuple[str, float | None]:
         if d > 10.0 * max(row.err_est, 1e-15):
             disagreement = d
     return _format_row(row), disagreement
+
+
+def _interrupt_once(signum, frame) -> None:
+    # a second interrupt would land in the unwinding the first one started,
+    # half-way through a lock's release or the pool's teardown.  A no-op
+    # handler, not SIG_IGN: a second signal already pending would then be
+    # reported as "ignored due to race condition"
+    signal.signal(signal.SIGINT, lambda *_: None)
+    raise KeyboardInterrupt
 
 
 def _parse_line(line: str, lineno: int) -> StatsRow:
@@ -142,11 +138,14 @@ def compute_range(
     threads: int = 1,
     resume: bool = False,
     paranoid: bool = False,
-) -> BatchManifest:
-    """One StatsRow per prime in [q_min, q_max], written in ascending q.
+) -> int | None:
+    """One StatsRow per prime in [q_min, q_max], written in ascending q;
+    returns the range's last prime, or None when it holds none.
 
     With resume=True, rows already on disk are kept and only the remainder
     is computed; the final file is byte-identical to an uninterrupted run.
+    With threads >= 2 (main thread only), pool workers ignore SIGINT, and
+    an interrupt terminates them rather than waiting on their chunks.
     """
     if not 3 <= q_min <= q_max:
         raise ValueError("need 3 <= q_min <= q_max")
@@ -172,8 +171,16 @@ def compute_range(
         if threads <= 1 or not todo:
             results = map(_worker, args)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
-            results = pool.map(_worker, args, chunksize=max(1, len(args) // (8 * threads)))
+            # while workers start, an interrupt is only noted: raised in an
+            # at-fork hook it is lost, and in a starting worker it kills it
+            caught = []
+            previous = signal.signal(signal.SIGINT, lambda *_: caught.append(True))
+            stack.callback(signal.signal, signal.SIGINT, previous)
+            pool = stack.enter_context(Pool(threads, signal.signal, (signal.SIGINT, signal.SIG_IGN)))
+            if caught:
+                raise KeyboardInterrupt
+            signal.signal(signal.SIGINT, _interrupt_once)
+            results = pool.imap(_worker, args, chunksize=max(1, len(args) // (8 * threads)))
         for (line, dis), q in zip(results, todo):
             fh.write(line)
             fh.flush()
@@ -182,13 +189,7 @@ def compute_range(
     for q, d in flagged:
         print(f"warning: q={q}: fft/digamma disagreement {d:.3e}", file=sys.stderr)
 
-    return BatchManifest(
-        range=(q_min, q_max),
-        completed_through=int(primes[-1]) if primes.size else None,
-        output_path=str(path),
-        schema_version=SCHEMA_VERSION,
-        thread_count=threads,
-    )
+    return int(primes[-1]) if primes.size else None
 
 
 def load_rows(path: str | os.PathLike) -> list[StatsRow]:
@@ -229,10 +230,8 @@ class Summary:
     mean_R_2qm1: float | None
 
 
-def summarize(path: str | os.PathLike) -> Summary:
-    rows = load_rows(path)
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
+def summarize(rows: list[StatsRow]) -> Summary:
+    """Counts, means and extremes of nonempty rows."""
     r = np.array([row.R for row in rows])
     rn = np.array([row.R_norm for row in rows])
     qs = np.array([row.q for row in rows])

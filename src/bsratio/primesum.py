@@ -121,7 +121,7 @@ def choose_plan(q: int, A: int = DEFAULT_A, delta: int = 8) -> TruncationPlan:
 
 class _EulerContext:
     """Per-(field, P) scratch: sieved primes, their discrete logs, and one
-    cached L(s, .) spectrum and orbit sum T(s) per distinct exponent s."""
+    cached orbit sum T(s) per distinct exponent s."""
 
     def __init__(self, field: PrimeField, P: int):
         if P < field.q:
@@ -133,20 +133,15 @@ class _EulerContext:
         self.primes = primes
         self.pfloat = primes.astype(np.float64)
         self.dlogs = field.dlog[primes % field.q]
-        self._spectra: dict[int, np.ndarray] = {}
         self._orbit_sums: dict[int, float] = {}
 
     def l_values(self, s: int) -> np.ndarray:
         """L(s, chi_j) for every j (principal included at j=0) via
         L(s,chi) = q^-s sum_a chi(a) zeta(s, a/q)."""
-        spec = self._spectra.get(s)
-        if spec is None:
-            q = self.field.q
-            f = np.zeros(q)
-            f[1:] = sp.zeta(s, np.arange(1, q) / q)
-            spec = char_spectrum(self.field, f) * float(q) ** (-s)
-            self._spectra[s] = spec
-        return spec
+        q = self.field.q
+        f = np.zeros(q)
+        f[1:] = sp.zeta(s, np.arange(1, q) / q)
+        return char_spectrum(self.field, f) * float(q) ** (-s)
 
     def tail(self, M: int, K: int, m_start: int) -> float:
         """sum_u c_u T(u), the Moebius tail over u = km with k <= K,

@@ -187,7 +187,7 @@ def test_criterion_10_desk_scale_sweep(sweep_1e5, tmp_path):
 
         out_dir = tmp_path / "figs"
         assert cli_main(["stats", "--in", str(base / "t1.csv"), "--out-dir", str(out_dir)]) == 0
-        s = summarize(base / "t1.csv")
+        s = summarize(rows)
         mean_checks = []
         for name, normalized, mean in (
             ("values_scatter.svg", False, s.mean_R),

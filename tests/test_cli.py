@@ -1,11 +1,17 @@
 import errno
 import io
 import os
+import signal
+import subprocess
 import sys
+import time
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
 
-from bsratio import bounds, pipeline, primesum, ratio
+import bsratio
+from bsratio import bounds, figures, pipeline, primesum, ratio
 from bsratio.cli import main
 from bsratio.errors import VerificationError
 from bsratio.ntheory import sieve_primes
@@ -110,6 +116,39 @@ def test_compute_damaged_resume_exits_2(tmp_path, capsys):
     assert damaged.read_text() == "not,the,header\n"
 
 
+def test_stats_reads_its_csv_once(tmp_path, monkeypatch, capsys):
+    csv = tmp_path / "r.csv"
+    pipeline.compute_range(3, 200, out=csv)
+    load_rows, calls = pipeline.load_rows, []
+
+    def counting(path):
+        calls.append(path)
+        return load_rows(path)
+
+    for module in (pipeline, figures):  # every binding, so no read escapes the count
+        if hasattr(module, "load_rows"):
+            monkeypatch.setattr(module, "load_rows", counting)
+    figs = tmp_path / "figs"
+    assert main(["stats", "--in", str(csv), "--out-dir", str(figs)]) == 0
+    assert len(calls) == 1
+    assert len(list(figs.glob("*.svg"))) == 4
+
+
+def test_stats_empty_input_error(tmp_path, capsys):
+    empty = tmp_path / "e.csv"
+    empty.write_text(pipeline.CSV_HEADER + "\n")
+    argv = ["stats", "--in", str(empty), "--out-dir", str(tmp_path / "figs")]
+    assert "no data rows" in _assert_error_exit_2(argv, capsys)
+
+
+def test_stats_needs_two_rows_for_histograms(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    pipeline.compute_range(3, 3, out=one)
+    figs = tmp_path / "figs"
+    assert main(["stats", "--in", str(one), "--out-dir", str(figs)]) == 0
+    assert sorted(p.name for p in figs.iterdir()) == ["normalized_scatter.svg", "values_scatter.svg"]
+
+
 def test_bounds_report(tmp_path, capsys):
     csv = tmp_path / "r.csv"
     assert main(["compute", "--from", "3", "--to", "1100", "--out", str(csv)]) == 0
@@ -174,3 +213,52 @@ def test_interrupt_exits_130_and_resumes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "_worker", worker)
     assert main(argv + [str(part), "--resume"]) == 0
     assert part.read_bytes() == full.read_bytes()
+
+
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_double_sigint_stops_the_pool_and_resumes(tmp_path):
+    # timeout(1) sends SIGINT to the process and then to its group, which
+    # holds the pool workers too; each run gets a session of its own.  A
+    # lost interrupt (exit 0), a broken cleanup (exit 1) or a hang fails.
+    # A second SIGINT that lands after main has handled the first, in the
+    # interpreter's teardown, may end the process by SIGINT, which a shell
+    # reports as 130 too
+    src = str(Path(bsratio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "bsratio.cli", "compute", "--from", "3", "--to", "30000",
+            "--threads", "2", "--out"]
+    full = tmp_path / "full.csv"
+    subprocess.run(argv + [str(full)], env=env, check=True, stdout=subprocess.DEVNULL)
+    for run, gap in enumerate((0.0, 0.01, 0.1)):  # seconds between the two SIGINTs
+        part = tmp_path / f"part{run}.csv"
+        proc = subprocess.Popen(argv + [str(part)], env=env, start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            # about 100 rows on disk: the pool is running, with chunks pending
+            while not part.exists() or part.stat().st_size < 10_000:
+                assert proc.poll() is None, "the run ended before it could be interrupted"
+                time.sleep(0.01)
+            os.kill(proc.pid, signal.SIGINT)
+            time.sleep(gap)
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(15) in (130, -signal.SIGINT), proc.stderr.read().decode()
+            deadline = time.monotonic() + 5
+            while _group_alive(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _group_alive(proc.pid), "a pool worker outlived the interrupt"
+        finally:
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()
+        assert part.read_bytes() != full.read_bytes()
+        subprocess.run(argv + [str(part), "--resume"], env=env, check=True, stdout=subprocess.DEVNULL)
+        assert part.read_bytes() == full.read_bytes()

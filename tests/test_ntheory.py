@@ -15,7 +15,8 @@ from bsratio.specfun import meissel_mertens
 
 
 def _oracle_sieve(limit):
-    """One-shot full-array sieve, structurally different from the segmented one."""
+    """Sieve over a flag for every integer up to limit, unlike the odd-only
+    bitmap it checks."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -49,10 +50,14 @@ class TestSieve:
         assert got.shape[0] == 78498
         assert np.array_equal(got, _oracle_sieve(10**6))
 
-    def test_segment_boundaries(self):
-        # limits straddling the segment size
+    def test_large_limits_against_oracle(self):
         for limit in (2**21 - 1, 2**21, 2**21 + 1, 3 * 10**6 + 17):
             assert np.array_equal(sieve_primes(limit), _oracle_sieve(limit))
+
+    def test_against_oracle_to_1e7(self):
+        got = sieve_primes(10**7)
+        assert got.shape[0] == 664579
+        assert np.array_equal(got, _oracle_sieve(10**7))
 
 
 class TestIsPrime:

@@ -31,6 +31,11 @@ def csv100(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def rows100(csv100):
+    return load_rows(csv100)
+
+
 class TestComputeRange:
     def test_row_count(self, csv100):
         rows = load_rows(csv100)
@@ -118,11 +123,9 @@ class TestComputeRange:
         with pytest.raises(ValueError):
             compute_range(2, 100, out=tmp_path / "x.csv")
 
-    def test_manifest(self, csv100, tmp_path):
-        m = compute_range(3, 100, out=tmp_path / "m.csv")
-        assert m.range == (3, 100)
-        assert m.completed_through == 97
-        assert m.schema_version == 1
+    def test_returns_last_prime(self, tmp_path):
+        assert compute_range(3, 100, out=tmp_path / "m.csv") == 97
+        assert compute_range(24, 28, out=tmp_path / "none.csv") is None
 
 
 class TestCsvRoundTrip:
@@ -149,17 +152,17 @@ class TestSummarize:
     def test_single_q3(self, tmp_path):
         path = tmp_path / "q3.csv"
         compute_range(3, 3, out=path)
-        s = summarize(path)
+        s = summarize(load_rows(path))
         assert s.count == 1
         assert s.mean_R == pytest.approx(0.604600, abs=1e-5)
         assert s.max_q == 3
 
-    def test_max_at_3(self, csv100):
-        s = summarize(csv100)
+    def test_max_at_3(self, rows100):
+        s = summarize(rows100)
         assert s.max_q == 3
 
-    def test_subgroups(self, csv100):
-        s = summarize(csv100)
+    def test_subgroups(self, rows100):
+        s = summarize(rows100)
         assert s.count_2qp1 <= s.count and s.count_2qm1 <= s.count
         assert s.count_2qp1 > 0 and s.mean_R_2qp1 is not None
 
@@ -169,51 +172,43 @@ class TestSummarize:
         bad = tmp_path / "bad2.csv"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="line 4"):
-            summarize(bad)
+            load_rows(bad)
 
 
 class TestScatter:
-    def test_element_counts(self, csv100, tmp_path):
+    def test_element_counts(self, rows100, tmp_path):
         out = tmp_path / "s.svg"
-        plot_scatter(csv100, normalized=False, out_path=out)
+        plot_scatter(rows100, normalized=False, out_path=out)
         svg = out.read_text()
         assert svg.count("<circle") == 24
         assert svg.count('class="mean"') == 1
         assert svg.count('class="pt highlight"') == 1  # q=3 present
 
-    def test_deterministic(self, csv100, tmp_path):
+    def test_deterministic(self, rows100, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        plot_scatter(csv100, normalized=True, out_path=a)
-        plot_scatter(csv100, normalized=True, out_path=b)
+        plot_scatter(rows100, normalized=True, out_path=a)
+        plot_scatter(rows100, normalized=True, out_path=b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_mean_line_matches_summary(self, csv100, tmp_path):
+    def test_mean_line_matches_summary(self, rows100, tmp_path):
         out = tmp_path / "m.svg"
-        plot_scatter(csv100, normalized=False, out_path=out)
+        plot_scatter(rows100, normalized=False, out_path=out)
         svg = out.read_text()
         m = re.search(r'class="mean"[^/]*y1="([0-9.]+)"', svg)
         emitted = float(m.group(1))
-        rows = load_rows(csv100)
-        s = summarize(csv100)
-        _, _, ylo, yhi = scatter_scale(rows, normalized=False)
+        s = summarize(rows100)
+        _, _, ylo, yhi = scatter_scale(rows100, normalized=False)
         expected = MARGIN_T + PLOT_H - (s.mean_R - ylo) / (yhi - ylo) * PLOT_H
         assert emitted == pytest.approx(expected, abs=0.01)
 
-    def test_empty_input_error(self, tmp_path):
-        empty = tmp_path / "e.csv"
-        empty.write_text(CSV_HEADER + "\n")
-        with pytest.raises(SchemaError):
-            plot_scatter(empty, normalized=False, out_path=tmp_path / "e.svg")
-
 
 class TestHistogram:
-    def test_partition_and_subset(self, csv100, tmp_path):
-        rows = load_rows(csv100)
-        values = np.array([r.R for r in rows])
+    def test_partition_and_subset(self, rows100):
+        values = np.array([r.R for r in rows100])
         edges, counts = histogram_scale(values)
-        assert counts.sum() == len(rows)
+        assert counts.sum() == len(rows100)
         for mask_attr in ("flag_2qp1", "flag_2qm1"):
-            mask = np.array([getattr(r, mask_attr) for r in rows])
+            mask = np.array([getattr(r, mask_attr) for r in rows100])
             sub, _ = np.histogram(values[mask], bins=edges)
             assert (sub <= counts).all()
 
@@ -223,19 +218,13 @@ class TestHistogram:
         e2 = freedman_diaconis_edges(vals + 7.25)
         assert np.allclose(e2 - e1, 7.25, atol=1e-12)
 
-    def test_svg_written_and_deterministic(self, csv100, tmp_path):
+    def test_svg_written_and_deterministic(self, rows100, tmp_path):
         a, b = tmp_path / "h1.svg", tmp_path / "h2.svg"
-        plot_histogram(csv100, normalized=False, out_path=a)
-        plot_histogram(csv100, normalized=False, out_path=b)
+        plot_histogram(rows100, normalized=False, out_path=a)
+        plot_histogram(rows100, normalized=False, out_path=b)
         assert a.read_bytes() == b.read_bytes()
         svg = a.read_text()
         assert 'class="bar-total"' in svg and 'class="mean"' in svg
-
-    def test_needs_two_rows(self, tmp_path):
-        path = tmp_path / "one.csv"
-        compute_range(3, 3, out=path)
-        with pytest.raises(SchemaError):
-            plot_histogram(path, normalized=False, out_path=tmp_path / "h.svg")
 
 
 class TestMeanLineHelper:
