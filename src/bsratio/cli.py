@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # argparse's SystemExit (--help, usage errors) passes through
+        args = build_parser().parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return status

@@ -17,6 +17,12 @@ over all characters, chi_{ju}(p) = e(ju*dlog(p)/n) sweeps the (n/g)-th
 roots of unity g = gcd(u*dlog(p), n) times each, and
 prod_{t<m} (1 - e(t/m) x) = 1 - x^m collapses every inner product to a
 real log.  That keeps the whole verifier O(#distinct km * (q log q + pi(P))).
+Each context takes g = gcd(dlog(p), n) once per prime; since
+gcd(dlog(p)/g, n/g) = 1, gcd(u*dlog(p), n) = g*gcd(u, n/g), and an orbit
+term g' log(1 - p^-e) with e = u*n/g' >= n/g is an exact 0.0 in doubles
+once p^-(n/g) is far below the least subnormal, so only the few primes of
+small order n/g ever reach pow and log1p.  Every array sum goes through
+ratio._class_sum, exact but for two roundings, at numpy speed.
 
 verify_ratio also splits its total into a prime part sigma1 and a
 prime-power part sigma2: sigma2 is a closed-form head over p <= P plus the
@@ -30,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from math import fsum, gcd
+from math import gcd
 
 import numpy as np
 from scipy import special as sp
@@ -39,7 +45,7 @@ from .bounds import simple_bound
 from .errors import CostGuardError, VerificationError
 from .fft import char_spectrum
 from .ntheory import PrimeField, build_field, moebius, sieve_primes
-from .ratio import NAIVE_MAX_Q
+from .ratio import NAIVE_MAX_Q, _class_sum
 from .specfun import constants_table
 
 DEFAULT_A = 20
@@ -47,6 +53,9 @@ DEFAULT_A = 20
 VERIFY_MAX_Q = NAIVE_MAX_Q
 
 _EPS = np.finfo(np.float64).eps
+# p^-e rounds to 0.0 once e*log2(p) > 1075 (2^-1075 is half the least
+# subnormal); the margin covers the rounding of e*log2(p) and of pow
+_UNDERFLOW_BITS = 1100.0
 
 
 @dataclass(frozen=True)
@@ -119,9 +128,17 @@ def choose_plan(q: int, A: int = DEFAULT_A, delta: int = 8) -> TruncationPlan:
     )
 
 
+def _sum(terms: np.ndarray) -> float:
+    """sum(terms) by ratio._class_sum, within a rounding of math.fsum;
+    terms, a fresh temporary, is overwritten."""
+    return _class_sum(0.0, terms, np.empty_like(terms))[0]
+
+
 class _EulerContext:
-    """Per-(field, P) scratch: sieved primes, their discrete logs, and one
-    cached orbit sum T(s) per distinct exponent s."""
+    """Per-(field, P) scratch: sieved primes, their discrete logs, their
+    gcds g = gcd(dlog p, n) and orders n/g, the indices `live` of the
+    primes whose p^-(n/g) does not underflow (every other orbit term is an
+    exact 0.0), and one cached orbit sum T(s) per distinct exponent s."""
 
     def __init__(self, field: PrimeField, P: int):
         if P < field.q:
@@ -133,6 +150,9 @@ class _EulerContext:
         self.primes = primes
         self.pfloat = primes.astype(np.float64)
         self.dlogs = field.dlog[primes % field.q]
+        self.gcds = np.gcd(self.dlogs, field.n)
+        self.orders = field.n // self.gcds
+        self.live = np.flatnonzero(self.orders * np.log2(self.pfloat) < _UNDERFLOW_BITS)
         self._orbit_sums: dict[int, float] = {}
 
     def l_values(self, s: int) -> np.ndarray:
@@ -187,12 +207,13 @@ def head_sum(field: PrimeField, P: int) -> float:
 
 
 def _head_sum(ctx: _EulerContext) -> float:
-    n = ctx.field.n
-    g = np.gcd(ctx.dlogs, n)
-    mexp = (n // g).astype(np.float64)
+    live = ctx.live
+    p = ctx.pfloat[live]
+    terms = -np.log1p(-1.0 / ctx.pfloat)
     with np.errstate(under="ignore"):
-        terms = g * np.log1p(-ctx.pfloat**-mexp) - np.log1p(-1.0 / ctx.pfloat)
-    return -fsum(terms)
+        # elsewhere the orbit term is -0.0, and -0.0 - x == -x
+        terms[live] += ctx.gcds[live] * np.log1p(-(p ** -ctx.orders[live].astype(np.float64)))
+    return -_sum(terms)
 
 
 def truncated_log_L(s: int, j: int, field: PrimeField, P: int) -> complex:
@@ -216,7 +237,7 @@ def truncated_log_L(s: int, j: int, field: PrimeField, P: int) -> complex:
     with np.errstate(under="ignore"):
         z = np.exp(1j * ang) * ctx.pfloat ** (-float(s))
         corr = np.log(1.0 - z)
-    total = complex(np.log(lval) + complex(fsum(corr.real), fsum(corr.imag)))
+    total = complex(np.log(lval) + complex(_sum(corr.real), _sum(corr.imag)))
     bound = float(ctx.P) ** (1 - s) / (s - 1)
     slack = 1e-11 + 16 * _EPS * math.log2(max(n, 2)) * len(ctx.primes) ** 0.5
     if abs(total) > bound * (1 + 1e-6) + slack:
@@ -237,14 +258,19 @@ def _orbit_log_sum(ctx: _EulerContext, u: int) -> float:
     n = field.n
     gs = gcd(u, n)
     idx = gs * np.arange(n // gs)
-    lsum = gs * fsum(np.log(np.abs(ctx.l_values(u)[idx])))
+    lsum = gs * _sum(np.log(np.abs(ctx.l_values(u)[idx])))
     princ = math.log1p(float(sp.zetac(u))) + math.log1p(-float(field.q) ** (-u))
 
-    g2 = np.gcd(u * ctx.dlogs, n)
+    # gcd(u*dlog p, n) = g*gcd(u, n/g); e = u*n/g2 >= n/g, so off the live
+    # primes the orbit term is an exact zero
+    live = ctx.live
+    order = ctx.orders[live]
+    shared = np.gcd(u, order)
+    g2 = ctx.gcds[live] * shared
     with np.errstate(under="ignore"):
-        orbit = g2 * np.log1p(-ctx.pfloat ** (-(u * (n // g2)).astype(np.float64)))
+        orbit = g2 * np.log1p(-ctx.pfloat[live] ** (-(u * (order // shared)).astype(np.float64)))
         plain = np.log1p(-ctx.pfloat ** (-float(u)))
-    total = lsum - princ + fsum(orbit) - fsum(plain)
+    total = lsum - princ + _sum(orbit) - _sum(plain)
 
     bound = (n - 1) * float(ctx.P) ** (1 - u) / (u - 1)
     slack = 1e-10 + 16 * _EPS * math.log2(max(n, 2)) * n
@@ -266,15 +292,15 @@ def moebius_tail(field: PrimeField, plan: TruncationPlan, l1_values) -> float:
     if float(np.min(l1)) <= 0.0:
         raise ValueError("L(1,chi) magnitudes must be positive")
     ctx = _EulerContext(field, plan.P)
-    return fsum(np.log(l1)) - _head_sum(ctx) + ctx.tail(plan.M, plan.K, 1)
+    return _sum(np.log(l1)) - _head_sum(ctx) + ctx.tail(plan.M, plan.K, 1)
 
 
 def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
     """Recompute log R(q) from prime sums, truncation certified to 10^-delta.
 
     log_R_check = head_sum + moebius_tail, whose km=1 term is
-    fsum(log|L(1,chi)|) - head_sum; the heads cancel, leaving
-    fsum(log|L(1,chi)|) plus the km >= 2 tail, which sums to zero up to
+    sum(log|L(1,chi)|) - head_sum; the heads cancel, leaving
+    sum(log|L(1,chi)|) plus the km >= 2 tail, which sums to zero up to
     the truncation remainders E1+E2.  L(1,chi) comes from the direct
     O(q^2) per-character sums of ratio.naive_l1_magnitudes, so the check
     compares the FFT route against the direct L(1,chi) sums plus a
@@ -286,7 +312,7 @@ def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
     field, plan, ctx = _prepare(q, A, delta)
     from .ratio import naive_l1_magnitudes
 
-    total = fsum(np.log(naive_l1_magnitudes(field))) + ctx.tail(plan.M, plan.K, 1)
+    total = _sum(np.log(naive_l1_magnitudes(field))) + ctx.tail(plan.M, plan.K, 1)
     power = _power_sum_ctx(ctx, plan)
     prime = total - power
     return SigmaSplit(q=q, prime_sum=prime, power_sum=power, total=prime + power, plan=plan)
@@ -297,13 +323,16 @@ def _power_sum_ctx(ctx: _EulerContext, plan: TruncationPlan) -> float:
     the multiplicative order e_p of p mod q), plus the m >= 2 Moebius tail."""
     field = ctx.field
     n = field.n
-    e = (n // np.gcd(ctx.dlogs, n)).astype(np.float64)
-    p = ctx.pfloat
+    live = ctx.live
+    # sum_{m>=2} 1/(m p^m) and its restriction to e_p | m; off the live
+    # primes the restriction is an exact 0.0, and n * 0.0 - x == -x
+    all_m = -np.log1p(-1.0 / ctx.pfloat) - 1.0 / ctx.pfloat
+    terms = -all_m
+    e, p, a = ctx.orders[live].astype(np.float64), ctx.pfloat[live], all_m[live]
     with np.errstate(under="ignore"):
-        # sum_{m>=2} 1/(m p^m) and its restriction to e_p | m
-        all_m = -np.log1p(-1.0 / p) - 1.0 / p
-        on_orbit = np.where(e >= 2, -np.log1p(-(p**-e)) / e, all_m)
-    value = fsum(n * on_orbit - all_m) + ctx.tail(plan.M, plan.K, 2)
+        on_orbit = np.where(e >= 2, -np.log1p(-(p**-e)) / e, a)
+    terms[live] = n * on_orbit - a
+    value = _sum(terms) + ctx.tail(plan.M, plan.K, 2)
     bound = simple_bound(field.q)
     if abs(value) > bound + 10.0 ** (-plan.delta):
         raise VerificationError(

@@ -115,14 +115,17 @@ def _class_sum(pref: float, p: np.ndarray, t: np.ndarray) -> tuple[float, float]
     them without error in any order, and |lo_i| <= u sigma.  Only two
     roundings are left.  np.add.reduce adds an array pairwise, in blocks
     of at most 128 terms that pass each term through at most 25 additions, so
-    the sum of the lo_i errs by at most (25 + log2 n) u sum|lo_i| <
-    4 (25 + log2 n) n (n+2) u^2 mu.  Against the 2 eps sum_j w_j >= 4 u n
-    that _record budgets for the sum, that is a share below
-    (25 + log2 n)(n + 2) u mu, under 3e-6 at any q <= 1e7: a class holds
-    at most (q-1)/2 bins of weight 1 or (q-1)/4 of weight 2, and
-    |log(|X_j|/s)| <= 69 between the degeneracy guard's 1e-30 and
-    ||x||_1 < 1e15, so (n + 2) mu < 3.5e8.  The final fsum of three terms
-    rounds once, as math.fsum over all n + 1 did.
+    the sum of the lo_i errs by at most
+    delta = (25 + log2 n) u sum|lo_i| <= (25 + log2 n) n u^2 sigma
+    < 4 (25 + log2 n) n (n+2) u^2 mu, and the final fsum of three terms
+    rounds once.  So for any finite p, signs and magnitudes mixed as they
+    may be, the result is pref + sum(p) within delta plus half an ulp, and
+    math.fsum's within delta plus 2 ulp; primesum's sums rely on that.
+    Against the 2 eps sum_j w_j >= 4 u n that _record budgets for a class
+    sum, delta is a share below (25 + log2 n)(n + 2) u mu, under 3e-6 at
+    any q <= 1e7: a class holds at most (q-1)/2 bins of weight 1 or
+    (q-1)/4 of weight 2, and |log(|X_j|/s)| <= 69 between the degeneracy
+    guard's 1e-30 and ||x||_1 < 1e15, so (n + 2) mu < 3.5e8.
     """
     np.abs(p, out=t)
     # the ufuncs' own reduce: np.sum and np.max wrap it in Python calls

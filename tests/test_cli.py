@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import os
@@ -213,6 +214,22 @@ def test_interrupt_exits_130_and_resumes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "_worker", worker)
     assert main(argv + [str(part), "--resume"]) == 0
     assert part.read_bytes() == full.read_bytes()
+
+
+def test_interrupt_while_parsing_exits_130(monkeypatch, capsys):
+    def interrupted(self, args=None, namespace=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", interrupted)
+    assert main(["verify", "--q", "101"]) == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["verify"], 2), (["nosuch"], 2)])
+def test_parser_exit_passes_through(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
 
 
 def _group_alive(pgid: int) -> bool:

@@ -19,7 +19,7 @@ from bsratio.primesum import (
     truncated_log_L,
     verify_ratio,
 )
-from bsratio.ratio import log_ratio_fft, log_ratio_naive, naive_l1_magnitudes
+from bsratio.ratio import _class_sum, log_ratio_fft, log_ratio_naive, naive_l1_magnitudes
 from bsratio.specfun import meissel_mertens, power_sum_constant
 
 LOG_R3 = math.log(math.pi / (3 * math.sqrt(3)))
@@ -155,6 +155,68 @@ class TestOrbitIdentity:
                 else:
                     brute.append(_ctx_log_L(ctx, u, idx).real)
             assert _orbit_log_sum(ctx, u) == pytest.approx(fsum(brute), abs=1e-11)
+
+
+def _full_orbit_log_sum(ctx, u):
+    """T(u) as first written: a gcd per u and every prime, math.fsum; also
+    returns the full array of orbit terms."""
+    n = ctx.field.n
+    gs = gcd(u, n)
+    lsum = gs * fsum(np.log(np.abs(ctx.l_values(u)[gs * np.arange(n // gs)])))
+    princ = math.log1p(float(zetac(u))) + math.log1p(-float(ctx.field.q) ** (-u))
+    g2 = np.gcd(u * ctx.dlogs, n)
+    with np.errstate(under="ignore"):
+        orbit = g2 * np.log1p(-ctx.pfloat ** (-(u * (n // g2)).astype(np.float64)))
+        plain = np.log1p(-ctx.pfloat ** (-float(u)))
+    return lsum - princ + fsum(orbit) - fsum(plain), orbit
+
+
+class TestOrbitSumShortcuts:
+    @pytest.mark.parametrize("q", [101, 1009, 4703])
+    def test_against_full_evaluation(self, field, q):
+        plan = choose_plan(q)
+        ctx = _EulerContext(field(q), plan.P)
+        ctx.tail(plan.M, plan.K, 1)  # the tails verify_ratio runs fill the cache
+        ctx.tail(plan.M, plan.K, 2)
+        assert ctx._orbit_sums
+        dead = np.ones(ctx.primes.size, dtype=bool)
+        dead[ctx.live] = False
+        # at q = 101 every order n/g <= 100 keeps p^-(n/g) above 2^-1100
+        assert dead.any() == (q > 101) and not dead.all()
+        for u, value in ctx._orbit_sums.items():
+            full, orbit = _full_orbit_log_sum(ctx, u)
+            assert value == pytest.approx(full, abs=1e-13)
+            # the underflow cut only skips exact zeros
+            assert np.all(orbit[dead] == 0.0)
+
+    def test_gcd_identity(self):
+        # gcd(u d, n) = g gcd(u, n/g) with g = gcd(d, n)
+        r = np.random.default_rng(23)
+        n = r.integers(2, 10**7, size=20000)
+        d = r.integers(0, n)
+        u = r.integers(1, 65, size=n.size)
+        g = np.gcd(d, n)
+        assert np.array_equal(g * np.gcd(u, n // g), np.gcd(u * d, n))
+
+
+class TestSharedSum:
+    def test_general_arrays_against_fsum(self):
+        # the verifier's arrays: mixed signs, magnitudes 1e-300 to 1e3,
+        # sometimes nearly cancelling
+        r = np.random.default_rng(2008)
+        u = np.finfo(np.float64).eps / 2
+        for _ in range(300):
+            n = int(r.integers(0, 3001))
+            lo, hi = np.sort(r.uniform(-300.0, 3.0, size=2))
+            p = r.choice([-1.0, 1.0], size=n) * 10.0 ** r.uniform(lo, hi, size=n)
+            if r.random() < 0.3:
+                p[n // 2 :] = -r.permutation(p[: n - n // 2])
+            want = fsum(p)
+            mu = float(np.max(np.abs(p), initial=0.0))
+            sigma = math.ldexp(1.0, (n + 1).bit_length() + math.frexp(mu)[1])
+            got = _class_sum(0.0, p.copy(), np.empty(n))[0]
+            bound = 2 * math.ulp(want) + (25 + math.log2(max(n, 1))) * n * u * u * sigma
+            assert abs(got - want) <= bound
 
 
 def _ctx_log_L(ctx, s, j):
