@@ -144,8 +144,10 @@ def compute_range(
 
     With resume=True, rows already on disk are kept and only the remainder
     is computed; the final file is byte-identical to an uninterrupted run.
-    With threads >= 2 (main thread only), pool workers ignore SIGINT, and
-    an interrupt terminates them rather than waiting on their chunks.
+    It runs min(threads, primes left to compute) pool workers, or runs
+    serially in this process when that is at most 1.  With a pool (main
+    thread only), the workers ignore SIGINT, and an interrupt terminates
+    them rather than waiting on their chunks.
     """
     if not 3 <= q_min <= q_max:
         raise ValueError("need 3 <= q_min <= q_max")
@@ -168,7 +170,8 @@ def compute_range(
         if mode == "w":
             fh.write(CSV_HEADER + "\n")
         args = [(q, paranoid) for q in todo]
-        if threads <= 1 or not todo:
+        workers = min(threads, len(todo))
+        if workers <= 1:
             results = map(_worker, args)
         else:
             # while workers start, an interrupt is only noted: raised in an
@@ -176,11 +179,11 @@ def compute_range(
             caught = []
             previous = signal.signal(signal.SIGINT, lambda *_: caught.append(True))
             stack.callback(signal.signal, signal.SIGINT, previous)
-            pool = stack.enter_context(Pool(threads, signal.signal, (signal.SIGINT, signal.SIG_IGN)))
+            pool = stack.enter_context(Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)))
             if caught:
                 raise KeyboardInterrupt
             signal.signal(signal.SIGINT, _interrupt_once)
-            results = pool.imap(_worker, args, chunksize=max(1, len(args) // (8 * threads)))
+            results = pool.imap(_worker, args, chunksize=max(1, len(args) // (8 * workers)))
         for (line, dis), q in zip(results, todo):
             fh.write(line)
             fh.flush()

@@ -3,8 +3,8 @@
 The Euler product over primes is split at P = A*q.  The head (p <= P) is
 a finite sum evaluated exactly; the tail collapses, via Moebius inversion,
 to values of truncated L-functions L_P(s, chi) = prod_{p>P} (1-chi(p)p^-s)^-1
-at integer s = km >= 2 (plus the single km=1 term, which reuses L(1, chi)
-magnitudes from the direct per-character route, never the FFT).  Both
+at integer s = km >= 2 (plus the single km=1 term, the log R of the direct
+per-character oracle ratio.log_ratio_naive, never the FFT).  Both
 truncation remainders have closed-form bounds
 
     |E1(q,P,M)|   <= P(q-1) / (M(M-1)(P-1)P^M)          (depth in m)
@@ -300,19 +300,20 @@ def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
 
     log_R_check = head_sum + moebius_tail, whose km=1 term is
     sum(log|L(1,chi)|) - head_sum; the heads cancel, leaving
-    sum(log|L(1,chi)|) plus the km >= 2 tail, which sums to zero up to
-    the truncation remainders E1+E2.  L(1,chi) comes from the direct
-    O(q^2) per-character sums of ratio.naive_l1_magnitudes, so the check
-    compares the FFT route against the direct L(1,chi) sums plus a
-    truncated Euler product; the 10^-delta certificate covers E1+E2, not
-    rounding.  The returned split carries the prime-power part computed by
-    the same machinery, with the prime part as the difference (re-rounded
-    so the stored identity is bit-exact).
+    sum(log|L(1,chi)|), which is the log R of the direct O(q^2) oracle
+    ratio.log_ratio_naive, plus the km >= 2 tail.  That tail sums to zero
+    only up to the truncation remainders E1+E2, and its cancellation is
+    the one check of the orbit sums T(u) that the prime-power part reuses.
+    So the check compares the FFT route against the direct L(1,chi) sums
+    plus a truncated Euler product; the 10^-delta certificate covers
+    E1+E2, not rounding.  The returned split carries the prime-power part
+    computed by the same machinery, with the prime part as the difference
+    (re-rounded so the stored identity is bit-exact).
     """
     field, plan, ctx = _prepare(q, A, delta)
-    from .ratio import naive_l1_magnitudes
+    from .ratio import log_ratio_naive
 
-    total = _sum(np.log(naive_l1_magnitudes(field))) + ctx.tail(plan.M, plan.K, 1)
+    total = log_ratio_naive(field).log_R + ctx.tail(plan.M, plan.K, 1)
     power = _power_sum_ctx(ctx, plan)
     prime = total - power
     return SigmaSplit(q=q, prime_sum=prime, power_sum=power, total=prime + power, plan=plan)

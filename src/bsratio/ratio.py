@@ -17,11 +17,13 @@ Three routes to the same number:
 * log_ratio_digamma -- every character through sum_a chi(a) psi(a/q) on the
                        full length-(q-1) spectrum; used as a cross-check of
                        the FFT route.
-* log_ratio_naive   -- the unfolded per-character sums (linear and log Gamma
-                       weights) evaluated by direct O(q^2) summation, no FFT
-                       code shared; the oracle for both.  Only the bins a
-                       parity class consumes are summed, in sqrt(q)-blocks
-                       (_naive_abs_sums), and q above NAIVE_MAX_Q is refused.
+* log_ratio_naive   -- the oracle for both, sharing no FFT code: each
+                       |L(1, chi_j)| from its unfolded sum (linear or log
+                       Gamma weights) by direct O(q^2) summation
+                       (naive_l1_magnitudes, which the prime-sum verifier
+                       uses too), assembled by _record with no prefactor.
+                       Only the bins a parity class consumes are summed, in
+                       sqrt(q)-blocks, and q above NAIVE_MAX_Q is refused.
 
 Each route ends in _record, the single assembly step: it takes the
 magnitudes of each parity class with their prefactor and weights, guards
@@ -66,22 +68,6 @@ class RatioRecord:
     @property
     def R(self) -> float:
         return math.exp(self.log_R)
-
-
-def _linear_weights(q: int) -> np.ndarray:
-    return np.arange(q, dtype=np.float64) / q
-
-
-def _loggamma_weights(q: int) -> np.ndarray:
-    f = np.zeros(q)
-    f[1:] = sp.gammaln(np.arange(1, q) / q)
-    return f
-
-
-def _digamma_weights(q: int) -> np.ndarray:
-    f = np.zeros(q)
-    f[1:] = sp.psi(np.arange(1, q) / q)
-    return f
 
 
 def _guard_bins(mag: np.ndarray, q: int, what: str) -> None:
@@ -229,9 +215,9 @@ def log_ratio_fft(field: PrimeField) -> RatioRecord:
       X_j = (Z_j + conj Z_{h-j})/2 - (i/2) e(-j/(q-1)) (Z_j - conj Z_{h-j}),
     indices mod h, computed as Q + alpha (P - Q) with P = Z_j,
     Q = conj Z_{h-j} and alpha = (1 - i e(-j/(q-1)))/2.  Odd bins are the
-    odd class; even bins j >= 2, halved, the even class, each with the
-    prefactor of its naive-route sums.  At q = 3 (h = 1) the even class
-    is empty.
+    odd class; even bins j >= 2, halved, the even class, each with its
+    class prefactor (_odd_pref, _even_pref).  At q = 3 (h = 1) the even
+    class is empty.
     """
     q, n = field.q, field.n
     h = n // 2
@@ -267,7 +253,8 @@ def log_ratio_fft(field: PrimeField) -> RatioRecord:
 def log_ratio_digamma(field: PrimeField) -> RatioRecord:
     """Cross-check route: log R = -(q-2) log q + sum_j log|sum_a chi_j(a) psi(a/q)|."""
     q = field.q
-    f = _digamma_weights(q)
+    f = np.zeros(q)
+    f[1:] = sp.psi(np.arange(1, q) / q)
     spec = fft.char_spectrum(field, f)
     # log|L(1,chi_j)| = -log q + log|S_j|, split by parity class: chi_j(-1) = (-1)^j
     odd = (-((q - 1) / 2) * math.log(q), np.abs(spec[1::2]), 1.0, 1.0)
@@ -275,13 +262,13 @@ def log_ratio_digamma(field: PrimeField) -> RatioRecord:
     return _record(q, odd, even, (q - 1, _norm(f[1:])))
 
 
-def _naive_abs_sums(field: PrimeField) -> np.ndarray:
-    """|S_j| for j = 0..n-1 (n = q-1), S_j = sum_k f(g^k) e(jk/n) by direct
-    summation (no FFT), with the weights each parity class consumes:
-    f(a) = a/q for odd j, f(a) = log Gamma(a/q) for even j (bin 0 included).
+def naive_l1_magnitudes(field: PrimeField) -> np.ndarray:
+    """|L(1, chi_j)| for j = 1..q-2 by direct summation, no FFT code shared.
 
-    Only bins j <= n/2 are summed; both weight vectors are real, so
-    S_{n-j} = conj(S_j) gives the rest.  Each sum is blocked as
+    Odd j: (pi/sqrt q) |S_j| with f(a) = a/q; even j: (2/sqrt q) |S_j| with
+    f(a) = log Gamma(a/q) (bin 0 included), S_j = sum_k f(g^k) e(jk/n),
+    n = q-1.  Only bins j <= n/2 are summed; both weight vectors are real,
+    so S_{n-j} = conj(S_j) gives the rest.  Each sum is blocked as
     k = k1 B + k0 with B = isqrt(n) and x zero-padded to a multiple of B:
     e(jk/n) = e((j k0 mod n)/n) e((j B k1 mod n)/n), so a block of rows is
     one matrix product over k0 and one elementwise product over k1, and
@@ -299,45 +286,33 @@ def _naive_abs_sums(field: PrimeField) -> np.ndarray:
     k0 = np.arange(B, dtype=np.int64)
     k1 = B * np.arange(n1, dtype=np.int64)
     step = 2 * max(1, (1 << 20) // max(B, n1))  # temporaries <= ~2^20 entries
-    out = np.empty(n)
-    for f_res, first in ((_linear_weights(q), 1), (_loggamma_weights(q), 0)):
+    linear = np.arange(q, dtype=np.float64) / q
+    loggamma = np.zeros(q)
+    loggamma[1:] = sp.gammaln(np.arange(1, q) / q)
+    rootq = math.sqrt(q)
+    mags = np.empty(n)
+    for f_res, first, scale in ((linear, 1, math.pi / rootq), (loggamma, 0, 2.0 / rootq)):
         x = np.zeros(n1 * B)
         x[:n] = f_res[field.pow_table]
         xt = x.reshape(n1, B).T
         for j0 in range(first, h + 1, step):
             js = np.arange(j0, min(j0 + step, h + 1), 2, dtype=np.int64)[:, None]
             inner = omega[(js * k0) % n] @ xt
-            out[js[:, 0]] = np.abs(np.sum(inner * omega[(js * k1) % n], axis=1))
-    out[h + 1 :] = out[h - 1 : 0 : -1]
-    return out
+            mags[js[:, 0]] = scale * np.abs(np.sum(inner * omega[(js * k1) % n], axis=1))
+    mags[h + 1 :] = mags[h - 1 : 0 : -1]
+    _guard_bins(mags[1:], q, "per-character")
+    return mags[1:]
 
 
 def log_ratio_naive(field: PrimeField) -> RatioRecord:
-    """Oracle route: direct per-character sums, O(q^2)."""
-    q = field.q
-    abs_s = _naive_abs_sums(field)
-    # no transform, so no rounding budget; the even class is empty at q = 3
-    odd = (_odd_pref(q), abs_s[1::2], 1.0, 1.0)
-    even = (_even_pref(q), abs_s[2::2], 1.0, 1.0)
-    return _record(q, odd, even)
-
-
-def naive_l1_magnitudes(field: PrimeField) -> np.ndarray:
-    """|L(1, chi_j)| for j = 1..q-2, from the direct per-character sums.
-
-    Odd j: (pi/sqrt q) |sum_a (a/q) chi_j(a)|; even j:
-    (2/sqrt q) |sum_a chi_j(a) log Gamma(a/q)|.  Shares no FFT code, so
-    the km=1 term of the prime-sum verifier, which carries log R, is
-    independent of dft_fast.
-    """
-    q = field.q
-    abs_s = _naive_abs_sums(field)
-    rootq = math.sqrt(q)
-    mags = np.empty(q - 1)
-    mags[1::2] = (math.pi / rootq) * abs_s[1::2]
-    mags[2::2] = (2.0 / rootq) * abs_s[2::2]
-    _guard_bins(mags[1:], q, "per-character")
-    return mags[1:]
+    """Oracle route: log R = sum_j log|L(1, chi_j)| over naive_l1_magnitudes,
+    O(q^2)."""
+    mags = naive_l1_magnitudes(field)
+    # _record overwrites its magnitudes, and the caller of
+    # naive_l1_magnitudes may keep the array; no transform, so err_est = 0
+    odd = (0.0, mags[0::2].copy(), 1.0, 1.0)
+    even = (0.0, mags[1::2].copy(), 1.0, 1.0)
+    return _record(field.q, odd, even)
 
 
 def log_H(q: int) -> float:

@@ -73,16 +73,11 @@ def power_sum_constant() -> float:
     rounding of the head.
     """
     head = 0.0
-    comp = 0.0
-    for lo in range(3, _A_HEAD_CUTOFF + 1, 500_000):
+    for lo in range(3, _A_HEAD_CUTOFF + 1, 500_000):  # two blocks bound the temporaries
         hi = min(lo + 500_000 - 1, _A_HEAD_CUTOFF)
         j = np.arange(lo, hi + 1, dtype=np.float64)
         a = 0.5 * (j * j - j)
-        s = float(np.sum(sp.psi(a) / a))
-        y = s - comp
-        t = head + y
-        comp = (t - head) - y
-        head = t
+        head += float(np.sum(sp.psi(a) / a))
 
     J = float(_A_HEAD_CUTOFF)
     aJ = 0.5 * (J * J - J)

@@ -119,6 +119,30 @@ class TestComputeRange:
         assert sorted(built) == [r.q for r in load_rows(csv100)]
         assert out.read_bytes() == csv100.read_bytes()
 
+    def test_pool_no_larger_than_its_work(self, tmp_path, monkeypatch):
+        import bsratio.pipeline as pipeline
+
+        asked = []
+
+        class FakePool:
+            def __init__(self, processes, *args):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+        monkeypatch.setattr(pipeline, "Pool", FakePool)
+        out = tmp_path / "few.csv"
+        compute_range(3, 7, out=out, threads=64)
+        assert asked and max(asked) <= 3
+        assert [r.q for r in load_rows(out)] == [3, 5, 7]
+
     def test_range_validation(self, tmp_path):
         with pytest.raises(ValueError):
             compute_range(2, 100, out=tmp_path / "x.csv")

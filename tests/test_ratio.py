@@ -343,6 +343,22 @@ class TestBlockedNaiveRoute:
         assert naive_l1_magnitudes(f).shape == (1007,)
         assert math.isfinite(log_ratio_naive(f).log_R)
 
+    def test_oracle_leaves_the_magnitudes_intact(self, field, monkeypatch):
+        # a caller that keeps the array (the traced benchmark hands it on
+        # to moebius_tail) must see it as naive_l1_magnitudes returned it
+        import bsratio.ratio as ratio
+
+        orig, kept = ratio.naive_l1_magnitudes, []
+
+        def keeping(f):
+            kept.append(orig(f))
+            return kept[-1]
+
+        monkeypatch.setattr(ratio, "naive_l1_magnitudes", keeping)
+        log_ratio_naive(field(101))
+        assert len(kept) == 1
+        assert kept[0].tobytes() == orig(field(101)).tobytes()
+
     @pytest.mark.parametrize("q", [101, 409])
     def test_log_r_vs_30_digit_reference(self, field, q):
         mp = pytest.importorskip("mpmath")
@@ -351,3 +367,28 @@ class TestBlockedNaiveRoute:
             ref = _log_r_unfolded_mp(mp, f)
             assert abs(log_ratio_naive(f).log_R - ref) <= 1e-13
             assert abs(log_ratio_fft(f).log_R - ref) <= 1e-13
+
+
+class TestOneAssembly:
+    """Every log R, the verifier's km=1 term included, comes out of _record."""
+
+    @pytest.mark.parametrize("route", ["fft", "digamma", "naive", "verify"])
+    def test_record_called_once(self, field, monkeypatch, route):
+        import bsratio.ratio as ratio
+        from bsratio.primesum import verify_ratio
+
+        orig, calls = ratio._record, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(ratio, "_record", counting)
+        run = {
+            "fft": lambda: log_ratio_fft(field(101)),
+            "digamma": lambda: log_ratio_digamma(field(101)),
+            "naive": lambda: log_ratio_naive(field(101)),
+            "verify": lambda: verify_ratio(101),
+        }[route]
+        run()
+        assert calls == [101]
