@@ -3,7 +3,8 @@ the case without an exceptional zero with its empirical normalized band,
 and the prime-reciprocal inequality check.
 
 The per-q checks take any record with .q and .R, such as a
-ratio.RatioRecord or a pipeline.StatsRow read back from a results CSV.
+ratio.RatioRecord or a record of the table pipeline.load_rows reads from
+a results CSV.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .ntheory import prime_reciprocal_sum
 
 DUSART_MIN_X = 2278383
 
-ENVELOPE_MIN_Q = 1000
 _ENV_LO = math.exp(-1.87)
 _ENV_HI = math.exp(0.51)
 
@@ -68,8 +68,8 @@ def check_envelope(record) -> bool:
     record.R.
 
     The theoretical statement only holds above an unspecified effective
-    threshold; callers treat results below ENVELOPE_MIN_Q as reports, not
-    assertions.
+    threshold, so below q = 1000 a miss is a report, not a failed
+    assertion.
     """
     lo, hi = envelope_interval(record.q)
     return lo < record.R < hi

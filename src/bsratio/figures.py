@@ -11,8 +11,6 @@ import os
 
 import numpy as np
 
-from .pipeline import StatsRow
-
 WIDTH, HEIGHT = 960, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 20, 50
 
@@ -84,8 +82,8 @@ def _axes(parts: list[str], xlo, xhi, ylo, yhi, xlabel: str, ylabel: str) -> Non
     )
 
 
-def _values(rows: list[StatsRow], normalized: bool) -> np.ndarray:
-    return np.array([row.R_norm if normalized else row.R for row in rows])
+def _values(rows: np.recarray, normalized: bool) -> np.ndarray:
+    return rows.R_norm if normalized else rows.R
 
 
 def mean_line_y(values: np.ndarray, ylo: float, yhi: float) -> float:
@@ -94,15 +92,14 @@ def mean_line_y(values: np.ndarray, ylo: float, yhi: float) -> float:
     return MARGIN_T + PLOT_H - (mean - ylo) / (yhi - ylo) * PLOT_H
 
 
-def scatter_scale(rows: list[StatsRow], normalized: bool) -> tuple[float, float, float, float]:
+def scatter_scale(rows: np.recarray, normalized: bool) -> tuple[float, float, float, float]:
     values = _values(rows, normalized)
-    qs = np.array([row.q for row in rows])
-    xlo, xhi = 0.0, float(qs.max()) * 1.02
+    xlo, xhi = 0.0, float(rows.q.max()) * 1.02
     ylo, yhi = 0.0, float(values.max()) * 1.05
     return xlo, xhi, ylo, yhi
 
 
-def plot_scatter(rows: list[StatsRow], normalized: bool, out_path: str | os.PathLike) -> None:
+def plot_scatter(rows: np.recarray, normalized: bool, out_path: str | os.PathLike) -> None:
     """Scatter of (q, R) or (q, R (log q)^0.75) with a dashed mean line.
 
     The q=3 point, when present, is drawn enlarged in red (it carries the
@@ -122,10 +119,10 @@ def plot_scatter(rows: list[StatsRow], normalized: bool, out_path: str | os.Path
         f'<line class="mean" x1="{MARGIN_L}" y1="{_fmt(my)}" x2="{MARGIN_L + PLOT_W}" '
         f'y2="{_fmt(my)}" stroke="{MEAN_COLOR}" stroke-width="1.5" stroke-dasharray="6,4"/>'
     )
-    for row, v in zip(rows, values):
-        px = MARGIN_L + (row.q - xlo) / (xhi - xlo) * PLOT_W
-        py = MARGIN_T + PLOT_H - (v - ylo) / (yhi - ylo) * PLOT_H
-        if row.q == 3:
+    pxs = MARGIN_L + (rows.q - xlo) / (xhi - xlo) * PLOT_W
+    pys = MARGIN_T + PLOT_H - (values - ylo) / (yhi - ylo) * PLOT_H
+    for q, px, py in zip(rows.q.tolist(), pxs.tolist(), pys.tolist()):
+        if q == 3:
             parts.append(
                 f'<circle class="pt highlight" cx="{_fmt(px)}" cy="{_fmt(py)}" r="4.0" '
                 f'fill="{HIGHLIGHT_COLOR}"/>'
@@ -161,15 +158,13 @@ def histogram_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
-def plot_histogram(rows: list[StatsRow], normalized: bool, out_path: str | os.PathLike) -> None:
+def plot_histogram(rows: np.recarray, normalized: bool, out_path: str | os.PathLike) -> None:
     """Histogram of the full population with both flagged subpopulations
     (2q+1 prime, 2q-1 prime) superimposed on the same bins."""
     values = _values(rows, normalized)
     edges, counts = histogram_scale(values)
-    p1 = np.array([row.flag_2qp1 for row in rows])
-    m1 = np.array([row.flag_2qm1 for row in rows])
-    counts_p1, _ = np.histogram(values[p1], bins=edges)
-    counts_m1, _ = np.histogram(values[m1], bins=edges)
+    counts_p1, _ = np.histogram(values[rows.flag_2qp1], bins=edges)
+    counts_m1, _ = np.histogram(values[rows.flag_2qm1], bins=edges)
 
     xlo, xhi = float(edges[0]), float(edges[-1])
     span = xhi - xlo if xhi > xlo else 1.0

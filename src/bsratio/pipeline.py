@@ -5,7 +5,8 @@ One CSV row per prime, schema
     q,g,log_R,R,R_norm,err_est,flag_2qp1,flag_2qm1
 with floats serialized as shortest round-trip decimals and flags as 0/1.
 Rows are written in ascending q regardless of worker completion order, so
-the output bytes are independent of the thread count.
+the output bytes are independent of the thread count.  One reader, _read,
+parses the file both for resume and for load_rows.
 """
 
 from __future__ import annotations
@@ -27,46 +28,29 @@ from .ratio import log_ratio_digamma, log_ratio_fft
 
 CSV_HEADER = "q,g,log_R,R,R_norm,err_est,flag_2qp1,flag_2qm1"
 SCHEMA_VERSION = 1
+# the results table load_rows returns: one record per row, one field per
+# column.  Aligned, so that each float column reduces as a contiguous array
+# of the same values would: an unaligned column is summed in buffered
+# blocks, which moves np.mean's last bits
+ROW_DTYPE = np.dtype(list(zip(CSV_HEADER.split(","), 2 * ["i8"] + 4 * ["f8"] + 2 * ["?"])), align=True)
 
 
-@dataclass(frozen=True)
-class StatsRow:
-    q: int
-    g: int
-    log_R: float
-    R: float
-    R_norm: float
-    err_est: float
-    flag_2qp1: bool
-    flag_2qm1: bool
-
-
-def _format_row(row: StatsRow) -> str:
-    return (
-        f"{row.q},{row.g},{row.log_R!r},{row.R!r},{row.R_norm!r},"
-        f"{row.err_est!r},{int(row.flag_2qp1)},{int(row.flag_2qm1)}\n"
-    )
+def _format_row(row: tuple) -> str:
+    q, g, log_R, R, R_norm, err_est, flag_2qp1, flag_2qm1 = row
+    return f"{q},{g},{log_R!r},{R!r},{R_norm!r},{err_est!r},{int(flag_2qp1)},{int(flag_2qm1)}\n"
 
 
 def _worker(args: tuple[int, bool]) -> tuple[str, float | None]:
     q, paranoid = args
     field = build_field(q)
     rec = log_ratio_fft(field)
-    row = StatsRow(
-        q=q,
-        g=field.g,
-        log_R=rec.log_R,
-        R=rec.R,
-        R_norm=rec.R * math.log(q) ** 0.75,
-        err_est=rec.err_est,
-        flag_2qp1=is_prime(2 * q + 1),
-        flag_2qm1=is_prime(2 * q - 1),
-    )
+    row = (q, field.g, rec.log_R, rec.R, rec.R * math.log(q) ** 0.75, rec.err_est,
+           is_prime(2 * q + 1), is_prime(2 * q - 1))
     disagreement = None
     if paranoid:
         alt = log_ratio_digamma(field)
-        d = abs(alt.log_R - row.log_R)
-        if d > 10.0 * max(row.err_est, 1e-15):
+        d = abs(alt.log_R - rec.log_R)
+        if d > 10.0 * max(rec.err_est, 1e-15):
             disagreement = d
     return _format_row(row), disagreement
 
@@ -80,23 +64,44 @@ def _interrupt_once(signum, frame) -> None:
     raise KeyboardInterrupt
 
 
-def _parse_line(line: str, lineno: int) -> StatsRow:
-    parts = line.rstrip("\n").split(",")
+def _parse_line(line: str, lineno: int) -> tuple:
+    parts = line.split(",")
     if len(parts) != 8:
         raise SchemaError(f"line {lineno}: expected 8 fields, got {len(parts)}")
     try:
-        return StatsRow(
-            q=int(parts[0]),
-            g=int(parts[1]),
-            log_R=float(parts[2]),
-            R=float(parts[3]),
-            R_norm=float(parts[4]),
-            err_est=float(parts[5]),
-            flag_2qp1=bool(int(parts[6])),
-            flag_2qm1=bool(int(parts[7])),
-        )
+        return (int(parts[0]), int(parts[1]), *map(float, parts[2:6]),
+                bool(int(parts[6])), bool(int(parts[7])))
     except ValueError as exc:
         raise SchemaError(f"line {lineno}: {exc}") from exc
+
+
+def _read(path: Path) -> tuple[list[tuple], int]:
+    """The rows of a results file's whole lines, and the byte length of
+    those lines; what follows the last newline is the caller's to judge.
+
+    An empty file reads as no rows in 0 bytes.  Bytes without a newline
+    (a torn header), a header other than CSV_HEADER, or any malformed
+    whole line -- a blank one included -- raise SchemaError, which names
+    every bad line.
+    """
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if not keep:
+        if data:
+            raise SchemaError(f"{path}: truncated header")
+        return [], 0
+    lines = data[:keep].decode("utf-8", "replace").split("\n")[:-1]
+    if lines[0] != CSV_HEADER:
+        raise SchemaError(f"{path}: header does not match schema v{SCHEMA_VERSION}")
+    rows, bad = [], []
+    for i, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append(_parse_line(line, i))
+        except SchemaError as exc:
+            bad.append(str(exc))
+    if bad:
+        raise SchemaError(f"{path}: malformed rows:\n  " + "\n  ".join(bad))
+    return rows, keep
 
 
 def _scan_resume(path: Path, expected: np.ndarray) -> tuple[int, int]:
@@ -107,28 +112,12 @@ def _scan_resume(path: Path, expected: np.ndarray) -> tuple[int, int]:
     mismatch, or a q-sequence that is not a prefix of the expected primes
     is a hard error -- the file is never silently overwritten.
     """
-    data = path.read_bytes()
-    if not data:
-        return 0, 0
-    lines = data.split(b"\n")
-    # data ends with '\n' iff lines[-1] == b''; otherwise lines[-1] is a torn
-    # trailing write, which keep excludes so that resume restarts after the
-    # last whole row
-    complete = lines[:-1]
-    if not complete:
-        raise SchemaError(f"{path}: truncated header; refusing to resume")
-    if complete[0].decode("utf-8", "replace") != CSV_HEADER:
-        raise SchemaError(f"{path}: header does not match schema v{SCHEMA_VERSION}")
-    rows_done = 0
-    keep = len(complete[0]) + 1
-    for i, raw in enumerate(complete[1:], start=2):
-        line = raw.decode("utf-8", "replace")
-        row = _parse_line(line, i)
-        if rows_done >= expected.size or row.q != int(expected[rows_done]):
-            raise SchemaError(f"{path}: line {i}: unexpected q={row.q}")
-        rows_done += 1
-        keep += len(raw) + 1
-    return rows_done, keep
+    rows, keep = _read(path)
+    want = expected[: len(rows)].tolist()
+    for i, row in enumerate(rows):
+        if i >= len(want) or row[0] != want[i]:
+            raise SchemaError(f"{path}: line {i + 2}: unexpected q={row[0]}")
+    return len(rows), keep
 
 
 def compute_range(
@@ -139,7 +128,7 @@ def compute_range(
     resume: bool = False,
     paranoid: bool = False,
 ) -> int | None:
-    """One StatsRow per prime in [q_min, q_max], written in ascending q;
+    """One CSV row per prime in [q_min, q_max], written in ascending q;
     returns the range's last prime, or None when it holds none.
 
     With resume=True, rows already on disk are kept and only the remainder
@@ -155,14 +144,13 @@ def compute_range(
     primes = sieve_primes(q_max)
     primes = primes[primes >= max(q_min, 3)]
 
-    done = 0
+    done = keep = 0
     if resume and path.exists():
         done, keep = _scan_resume(path, primes)
         with open(path, "r+b") as fh:
             fh.truncate(keep)
-        mode = "a"
-    else:
-        mode = "w"
+    # a resumed file without its header line starts over
+    mode = "a" if keep else "w"
 
     todo = [int(q) for q in primes[done:]]
     flagged: list[tuple[int, float]] = []
@@ -195,27 +183,16 @@ def compute_range(
     return int(primes[-1]) if primes.size else None
 
 
-def load_rows(path: str | os.PathLike) -> list[StatsRow]:
-    """Parse a results CSV; malformed rows raise with their line numbers."""
+def load_rows(path: str | os.PathLike) -> np.recarray:
+    """The results table of a CSV, one ROW_DTYPE record per row; a damaged
+    file -- one that --resume refuses, or a torn final line -- raises."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    rows, keep = _read(path)
+    if not keep:
         raise SchemaError(f"{path}: empty file")
-    if lines[0] != CSV_HEADER:
-        raise SchemaError(f"{path}: header does not match schema v{SCHEMA_VERSION}")
-    rows = []
-    bad: list[str] = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            rows.append(_parse_line(line, i))
-        except SchemaError as exc:
-            bad.append(str(exc))
-    if bad:
-        raise SchemaError(f"{path}: malformed rows:\n  " + "\n  ".join(bad))
-    return rows
+    if keep != path.stat().st_size:
+        raise SchemaError(f"{path}: torn final line {len(rows) + 2}")
+    return np.rec.fromrecords(rows, dtype=ROW_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -233,28 +210,24 @@ class Summary:
     mean_R_2qm1: float | None
 
 
-def summarize(rows: list[StatsRow]) -> Summary:
-    """Counts, means and extremes of nonempty rows."""
-    r = np.array([row.R for row in rows])
-    rn = np.array([row.R_norm for row in rows])
-    qs = np.array([row.q for row in rows])
-    p1 = np.array([row.flag_2qp1 for row in rows])
-    m1 = np.array([row.flag_2qm1 for row in rows])
+def summarize(rows: np.recarray) -> Summary:
+    """Counts, means and extremes of a nonempty results table."""
+    r, p1, m1 = rows.R, rows.flag_2qp1, rows.flag_2qm1
     i_min, i_max = int(np.argmin(r)), int(np.argmax(r))
 
-    def _mean(mask: np.ndarray, vals: np.ndarray) -> float | None:
-        return float(np.mean(vals[mask])) if mask.any() else None
+    def _mean(mask: np.ndarray) -> float | None:
+        return float(np.mean(r[mask])) if mask.any() else None
 
     return Summary(
         count=len(rows),
         mean_R=float(np.mean(r)),
-        mean_R_norm=float(np.mean(rn)),
+        mean_R_norm=float(np.mean(rows.R_norm)),
         min_R=float(r[i_min]),
-        min_q=int(qs[i_min]),
+        min_q=int(rows.q[i_min]),
         max_R=float(r[i_max]),
-        max_q=int(qs[i_max]),
+        max_q=int(rows.q[i_max]),
         count_2qp1=int(p1.sum()),
-        mean_R_2qp1=_mean(p1, r),
+        mean_R_2qp1=_mean(p1),
         count_2qm1=int(m1.sum()),
-        mean_R_2qm1=_mean(m1, r),
+        mean_R_2qm1=_mean(m1),
     )

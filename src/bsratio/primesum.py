@@ -45,7 +45,7 @@ from .bounds import simple_bound
 from .errors import CostGuardError, VerificationError
 from .fft import char_spectrum
 from .ntheory import PrimeField, build_field, moebius, sieve_primes
-from .ratio import NAIVE_MAX_Q, _class_sum
+from .ratio import NAIVE_MAX_Q, _class_sum, log_ratio_naive
 from .specfun import constants_table
 
 DEFAULT_A = 20
@@ -311,8 +311,6 @@ def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
     (re-rounded so the stored identity is bit-exact).
     """
     field, plan, ctx = _prepare(q, A, delta)
-    from .ratio import log_ratio_naive
-
     total = log_ratio_naive(field).log_R + ctx.tail(plan.M, plan.K, 1)
     power = _power_sum_ctx(ctx, plan)
     prime = total - power

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import errno
 import io
 import os
@@ -79,6 +80,16 @@ def test_sigma_reports_the_verifier_split(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "sigma"])
+def test_one_gate_for_verify_and_sigma(command, monkeypatch, capsys):
+    # a gap of 1.5 * 10^-delta passes no gate of 10^-delta + err_est
+    exact, shift = primesum.verify_ratio(101), 1.5e-8
+    off = dataclasses.replace(exact, total=exact.total + shift, prime_sum=exact.prime_sum + shift)
+    monkeypatch.setattr(primesum, "verify_ratio", lambda *args, **kwargs: off)
+    assert main([command, "--q", "101"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify", "sigma"])
 @pytest.mark.parametrize("flag", ["--delta", "--A"])
 def test_bad_plan_argument_exits_2(command, flag, capsys):
     _assert_error_exit_2([command, "--q", "101", flag, "0"], capsys)
@@ -94,6 +105,15 @@ def test_bad_csv_exits_2(command, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("q,g,log_R\n3,2,-0.1\n")
     _assert_error_exit_2([command, "--in", str(bad)], capsys)
+
+
+@pytest.mark.parametrize("command", ["stats", "bounds"])
+def test_blank_line_in_csv_exits_2(command, tmp_path, capsys):
+    csv = tmp_path / "r.csv"
+    pipeline.compute_range(3, 50, out=csv)
+    lines = csv.read_text().splitlines(keepends=True)
+    csv.write_text("".join(lines[:4] + ["\n"] + lines[4:]))
+    assert "line 5: expected 8 fields" in _assert_error_exit_2([command, "--in", str(csv)], capsys)
 
 
 @pytest.mark.parametrize("command", ["stats", "bounds"])

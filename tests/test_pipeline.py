@@ -11,8 +11,10 @@ import pytest
 import bsratio
 from bsratio.errors import SchemaError
 from bsratio.figures import (
+    MARGIN_L,
     MARGIN_T,
     PLOT_H,
+    PLOT_W,
     freedman_diaconis_edges,
     histogram_scale,
     mean_line_y,
@@ -21,7 +23,14 @@ from bsratio.figures import (
     scatter_scale,
 )
 from bsratio.ntheory import build_field
-from bsratio.pipeline import CSV_HEADER, StatsRow, _format_row, compute_range, load_rows, summarize
+from bsratio.pipeline import (
+    CSV_HEADER,
+    ROW_DTYPE,
+    _format_row,
+    compute_range,
+    load_rows,
+    summarize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +87,18 @@ class TestComputeRange:
     def test_torn_line_resume(self, csv100, tmp_path):
         full = csv100.read_bytes()
         torn = tmp_path / "torn.csv"
-        torn.write_bytes(full[: len(full) - 17])  # cut inside the last row
-        compute_range(3, 100, out=torn, resume=True)
-        assert torn.read_bytes() == full
+        for cut in (17, 1):  # inside the last row; only its newline
+            torn.write_bytes(full[: len(full) - cut])
+            with pytest.raises(SchemaError, match="torn final line 25"):
+                load_rows(torn)
+            compute_range(3, 100, out=torn, resume=True)
+            assert torn.read_bytes() == full
+
+    def test_resume_empty_file_writes_the_header(self, csv100, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        compute_range(3, 100, out=empty, resume=True)
+        assert empty.read_bytes() == csv100.read_bytes()
 
     def test_resume_header_mismatch(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -154,7 +172,7 @@ class TestComputeRange:
 
 class TestCsvRoundTrip:
     def test_exact(self, csv100):
-        rows = load_rows(csv100)
+        rows = load_rows(csv100).tolist()
         text = CSV_HEADER + "\n" + "".join(_format_row(r) for r in rows)
         reparsed = []
         for i, line in enumerate(text.splitlines()[1:], start=2):
@@ -190,6 +208,15 @@ class TestSummarize:
         assert s.count_2qp1 <= s.count and s.count_2qm1 <= s.count
         assert s.count_2qp1 > 0 and s.mean_R_2qp1 is not None
 
+    def test_column_means_match_contiguous_arrays(self):
+        # past numpy's 8192-element reduction buffer, the mean of an
+        # unaligned column differs from this one in the last bits
+        r = np.random.default_rng(1).random(20000)
+        records = [(3, 2, 0.0, v, v, 0.0, True, False) for v in r.tolist()]
+        rows = np.rec.fromrecords(records, dtype=ROW_DTYPE)
+        s = summarize(rows)
+        assert s.mean_R == s.mean_R_norm == s.mean_R_2qp1 == float(np.mean(r))
+
     def test_malformed_rows_reported_with_lines(self, tmp_path, csv100):
         lines = csv100.read_text().splitlines()
         lines[3] = lines[3].replace(",", ";", 2)
@@ -197,6 +224,16 @@ class TestSummarize:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="line 4"):
             load_rows(bad)
+
+    def test_blank_line_refused_as_by_resume(self, tmp_path, csv100):
+        lines = csv100.read_text().splitlines()
+        lines.insert(5, "")
+        bad = tmp_path / "blank.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="line 6: expected 8 fields, got 1"):
+            load_rows(bad)
+        with pytest.raises(SchemaError, match="line 6"):
+            compute_range(3, 100, out=bad, resume=True)
 
 
 class TestScatter:
@@ -224,6 +261,19 @@ class TestScatter:
         _, _, ylo, yhi = scatter_scale(rows100, normalized=False)
         expected = MARGIN_T + PLOT_H - (s.mean_R - ylo) / (yhi - ylo) * PLOT_H
         assert emitted == pytest.approx(expected, abs=0.01)
+
+    def test_points_match_the_per_row_formula(self, rows100, tmp_path):
+        out = tmp_path / "p.svg"
+        plot_scatter(rows100, normalized=True, out_path=out)
+        xlo, xhi, ylo, yhi = scatter_scale(rows100, normalized=True)
+        expected = [
+            (
+                f"{MARGIN_L + (int(r.q) - xlo) / (xhi - xlo) * PLOT_W:.3f}",
+                f"{MARGIN_T + PLOT_H - (float(r.R_norm) - ylo) / (yhi - ylo) * PLOT_H:.3f}",
+            )
+            for r in rows100
+        ]
+        assert re.findall(r'cx="([0-9.]+)" cy="([0-9.]+)"', out.read_text()) == expected
 
 
 class TestHistogram:
@@ -260,10 +310,7 @@ class TestMeanLineHelper:
 
 class TestStatsRowShape:
     def test_format_parse_identity(self):
-        row = StatsRow(
-            q=17, g=3, log_R=-1.2345678901234567, R=0.2912, R_norm=0.55,
-            err_est=1.25e-13, flag_2qp1=False, flag_2qm1=True,
-        )
+        row = (17, 3, -1.2345678901234567, 0.2912, 0.55, 1.25e-13, False, True)
         from bsratio.pipeline import _parse_line
 
         assert _parse_line(_format_row(row).rstrip("\n"), 2) == row
