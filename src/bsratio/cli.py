@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from . import figures, pipeline, primesum, ratio
@@ -141,19 +140,11 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bounds(args) -> int:
     rows = pipeline.load_rows(args.in_path)
-    n_env = 0
-    n_band = 0
+    columns = bounds_mod.report_columns(rows)
     print("q,simple_bound,refined_bound,envelope_ok,normalized_ok")
-    # the q and R columns as Python numbers: a numpy record's field costs
-    # microseconds to read, and numpy scalars slow the bound arithmetic
-    for q, R in zip(rows.q.tolist(), rows.R.tolist()):
-        rep = bounds_mod.report_for(SimpleNamespace(q=q, R=R))
-        n_env += rep.envelope_ok
-        n_band += rep.normalized_ok
-        print(
-            f"{q},{rep.simple_bound:.10f},{rep.refined_bound:.10f},"
-            f"{int(rep.envelope_ok)},{int(rep.normalized_ok)}"
-        )
+    for q, simple, refined, env, band in zip(rows.q.tolist(), *(c.tolist() for c in columns)):
+        print(f"{q},{simple:.10f},{refined:.10f},{int(env)},{int(band)}")
+    n_env, n_band = (int(c.sum()) for c in columns[2:])
     print(f"# envelope ok: {n_env}/{len(rows)}   normalized band ok: {n_band}/{len(rows)}")
     if args.dusart_x is not None:
         ok = bounds_mod.check_dusart(args.dusart_x)

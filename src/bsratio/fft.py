@@ -104,23 +104,6 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.complex128)
 
 
-def dft_naive(x: np.ndarray) -> np.ndarray:
-    """Direct O(n^2) DFT with compensated per-bin accumulation.
-
-    X[j] = sum_k x[k] e(-jk/n).  This is the oracle dft_fast is tested
-    against; keep it free of any FFT machinery.
-    """
-    x = _check_finite(x)
-    n = x.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    k = np.arange(n, dtype=np.int64)
-    for j in range(n):
-        ang = -2.0 * np.pi * ((j * k) % n).astype(np.float64) / n
-        terms = x * (np.cos(ang) + 1j * np.sin(ang))
-        out[j] = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    return out
-
-
 def _chirp(count: int, n: int) -> np.ndarray:
     # e(-k^2/(2n)) for k = 0..count-1, k^2 reduced mod 2n in integers first
     k = np.arange(count, dtype=np.int64)
@@ -194,7 +177,7 @@ def _smooth_part(n: int) -> int:
 
 
 def dft_fast(x: np.ndarray) -> np.ndarray:
-    """DFT with the same contract as dft_naive, in O(n log n).
+    """X[j] = sum_k x[k] e(-jk/n) of a nonempty finite 1-d x, in O(n log n).
 
     With n = s r, s the 11-smooth part of n, and input and output indexed
     as m = m1 r + m2 and k = k1 + s k2,

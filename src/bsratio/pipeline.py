@@ -91,6 +91,7 @@ def _read(path: Path) -> tuple[list[tuple], int]:
             raise SchemaError(f"{path}: truncated header")
         return [], 0
     lines = data[:keep].decode("utf-8", "replace").split("\n")[:-1]
+    del data  # the parse needs only the lines: free the file's bytes first
     if lines[0] != CSV_HEADER:
         raise SchemaError(f"{path}: header does not match schema v{SCHEMA_VERSION}")
     rows, bad = [], []

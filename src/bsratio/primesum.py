@@ -216,37 +216,6 @@ def _head_sum(ctx: _EulerContext) -> float:
     return -_sum(terms)
 
 
-def truncated_log_L(s: int, j: int, field: PrimeField, P: int) -> complex:
-    """log L_P(s, chi_j) for integer s >= 2 and a nonprincipal character.
-
-    Computed as log L(s, chi_j) + sum_{p<=P} log(1 - chi_j(p) p^-s); every
-    factor sits in the unit disc around 1 and the accumulated argument
-    stays below pi, so principal-branch logs land on the Euler branch.
-    The result must respect |log L_P| <= P^(1-s)/(s-1); violating that is
-    an internal error, asserted here.
-    """
-    if s < 2:
-        raise ValueError("truncated_log_L requires s >= 2")
-    n = field.n
-    j = int(j) % n
-    if j == 0:
-        raise ValueError("principal character not allowed; use the zeta closed form")
-    ctx = _EulerContext(field, P)
-    lval = ctx.l_values(s)[j]
-    ang = (2.0 * np.pi / n) * ((j * ctx.dlogs) % n).astype(np.float64)
-    with np.errstate(under="ignore"):
-        z = np.exp(1j * ang) * ctx.pfloat ** (-float(s))
-        corr = np.log(1.0 - z)
-    total = complex(np.log(lval) + complex(_sum(corr.real), _sum(corr.imag)))
-    bound = float(ctx.P) ** (1 - s) / (s - 1)
-    slack = 1e-11 + 16 * _EPS * math.log2(max(n, 2)) * len(ctx.primes) ** 0.5
-    if abs(total) > bound * (1 + 1e-6) + slack:
-        raise VerificationError(
-            f"|log L_P({s}, chi_{j})| = {abs(total):.3e} exceeds bound {bound:.3e}"
-        )
-    return total
-
-
 def _orbit_log_sum(ctx: _EulerContext, u: int) -> float:
     """T(u) = sum_{j=1}^{n-1} Re log L_P(u, chi_(ju mod n)).
 

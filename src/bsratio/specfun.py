@@ -1,6 +1,6 @@
 """Special functions and the numeric constants used throughout.
 
-digamma is a thin domain-checked wrapper over scipy.special; prime_zeta
+digamma is scipy.special's, elementwise, behind a domain check; prime_zeta
 and the constants are computed here from scratch with explicit truncation
 control so repeated evaluation is bit-identical.
 """
@@ -19,11 +19,11 @@ from .ntheory import moebius
 EULER_GAMMA = float(np.euler_gamma)
 
 
-def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    if x <= 0:
+def digamma(x):
+    """psi(x) = Gamma'(x)/Gamma(x), elementwise, for x > 0."""
+    if np.any(x <= 0):
         raise ValueError("digamma requires x > 0")
-    return float(sp.psi(x))
+    return sp.psi(x)
 
 
 def prime_zeta(s: int) -> float:

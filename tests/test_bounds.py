@@ -3,18 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from bsratio import pipeline
 from bsratio.bounds import (
     check_dusart,
-    check_envelope,
     envelope_interval,
-    normalized_in_band,
     refined_bound,
-    report_for,
+    report_columns,
     simple_bound,
 )
 from bsratio.ntheory import sieve_primes
-from bsratio.ratio import log_ratio_fft
 from bsratio.specfun import power_sum_constant
+
+
+def _table(*qs):
+    """The results table of the rows compute_range writes for qs."""
+    rows = [pipeline._parse_line(pipeline._worker((q, False))[0].rstrip("\n"), 2) for q in qs]
+    return np.rec.fromrecords(rows, dtype=pipeline.ROW_DTYPE)
 
 
 class TestSimpleBound:
@@ -55,6 +59,20 @@ class TestRefinedBound:
 
     def test_asymptotic(self):
         assert abs(refined_bound(10**6 + 3) - power_sum_constant()) < 0.01
+
+
+class TestColumns:
+    def test_columns_equal_scalar_calls(self):
+        qs = sieve_primes(10**4)[1:]
+        for f in (simple_bound, refined_bound):
+            assert f(qs).tolist() == [f(q) for q in qs.tolist()]
+        lo, hi = envelope_interval(qs)
+        assert list(zip(lo.tolist(), hi.tolist())) == [envelope_interval(q) for q in qs.tolist()]
+
+    @pytest.mark.parametrize("f", [simple_bound, refined_bound])
+    def test_domain(self, f):
+        with pytest.raises(ValueError):
+            f(np.array([3, 5, 2]))
 
 
 def _refined_bound_mp(mp, q, a):
@@ -113,17 +131,19 @@ class TestEnvelope:
         lo, hi = envelope_interval(1009)
         assert 0 < lo < hi
 
-    def test_scan_above_threshold(self, field):
-        for q in (1009, 2003, 5003):
-            assert check_envelope(log_ratio_fft(field(q)))
+    def test_scan_above_threshold(self):
+        _, _, envelope_ok, _ = report_columns(_table(1009, 2003, 5003))
+        assert envelope_ok.all()
 
-    def test_q3_reported_only(self, field):
-        rec = log_ratio_fft(field(3))
-        # below the reporting threshold the value is informational
-        assert isinstance(check_envelope(rec), bool)
+    def test_q3_reported_only(self):
+        # below the reporting threshold the value is informational: a flag,
+        # not an exception
+        _, _, envelope_ok, _ = report_columns(_table(3))
+        assert envelope_ok.dtype == bool and envelope_ok.shape == (1,)
 
-    def test_normalized_band(self, field):
-        assert normalized_in_band(log_ratio_fft(field(1009)))
+    def test_normalized_band(self):
+        _, _, _, normalized_ok = report_columns(_table(1009))
+        assert normalized_ok.all()
 
 
 class TestDusart:
@@ -136,6 +156,6 @@ class TestDusart:
 
 
 class TestReportRow:
-    def test_without_sigma2(self, field):
-        rep = report_for(log_ratio_fft(field(101)))
-        assert rep.simple_bound == simple_bound(101)
+    def test_without_sigma2(self):
+        simple, _, _, _ = report_columns(_table(101))
+        assert simple[0] == simple_bound(101)

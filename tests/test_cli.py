@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import errno
 import io
+import itertools
+import math
 import os
 import signal
 import subprocess
@@ -174,15 +176,35 @@ def test_bounds_report(tmp_path, capsys):
     csv = tmp_path / "r.csv"
     assert main(["compute", "--from", "3", "--to", "1100", "--out", str(csv)]) == 0
     capsys.readouterr()
+    # R (and R_norm with it) scaled out of the envelope and the band on two
+    # rows in three, so that each flag takes both values
+    scaled = [
+        (q, g, log_R, R * s, R * s * math.log(q) ** 0.75, err, f1, f2)
+        for s, (q, g, log_R, R, R_norm, err, f1, f2) in zip(
+            itertools.cycle((1.0, 1 / 300, 300.0)), pipeline.load_rows(csv).tolist()
+        )
+    ]
+    csv.write_text(pipeline.CSV_HEADER + "\n" + "".join(map(pipeline._format_row, scaled)))
     assert main(["bounds", "--in", str(csv)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "q,simple_bound,refined_bound,envelope_ok,normalized_ok"
     primes = [int(p) for p in sieve_primes(1100)[1:]]
     assert [int(line.split(",")[0]) for line in lines[1:-1]] == primes
+    # every line against a reference built row by row from scalars: the two
+    # bounds at int q, the envelope from math.log(q), the band from R_norm
     rows = pipeline.load_rows(csv)
-    n_env = sum(bounds.check_envelope(row) for row in rows)
-    n_band = sum(bounds.normalized_in_band(row) for row in rows)
+    band_lo, band_hi = bounds.NORMALIZED_BAND
+    want, n_env, n_band = [], 0, 0
+    for q, R, R_norm in zip(rows.q.tolist(), rows.R.tolist(), rows.R_norm.tolist()):
+        env = math.exp(-1.87) / math.log(q) < R < math.exp(0.51) * math.log(q)
+        band = band_lo < R_norm < band_hi
+        n_env, n_band = n_env + env, n_band + band
+        want.append(
+            f"{q},{bounds.simple_bound(q):.10f},{bounds.refined_bound(q):.10f},{int(env)},{int(band)}"
+        )
+    assert lines[1:-1] == want
     n = len(primes)
+    assert 0 < n_env < n and 0 < n_band < n
     assert lines[-1] == f"# envelope ok: {n_env}/{n}   normalized band ok: {n_band}/{n}"
 
     _assert_error_exit_2(["bounds", "--in", str(csv), "--dusart-x", "10"], capsys)

@@ -16,11 +16,12 @@ from bsratio.primesum import (
     mertens_constant_q1,
     moebius_tail,
     prime_power_sum,
-    truncated_log_L,
     verify_ratio,
 )
 from bsratio.ratio import _class_sum, log_ratio_fft, log_ratio_naive, naive_l1_magnitudes
 from bsratio.specfun import meissel_mertens, power_sum_constant
+
+from oracles import truncated_log_L
 
 LOG_R3 = math.log(math.pi / (3 * math.sqrt(3)))
 

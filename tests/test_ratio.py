@@ -306,7 +306,7 @@ class TestBlockedNaiveRoute:
     def test_bins_vs_dft_naive(self, field, q):
         from scipy.special import gammaln
 
-        from bsratio.fft import dft_naive
+        from oracles import dft_naive
 
         f = field(q)
         a = f.pow_table.astype(np.float64) / q

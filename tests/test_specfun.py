@@ -38,6 +38,12 @@ class TestDigamma:
         with pytest.raises(ValueError):
             digamma(-0.5)
 
+    def test_array_equals_scalar_calls(self, rng):
+        x = rng.uniform(1e-7, 10.0, size=1000)
+        assert digamma(x).tolist() == [digamma(v) for v in x.tolist()]
+        with pytest.raises(ValueError):
+            digamma(np.array([0.5, 0.0, 2.0]))
+
 
 class TestPrimeZeta:
     def test_p2_vs_sieve(self):

@@ -3,8 +3,8 @@
 Every public top-level function or class in src/bsratio must be referenced
 (as a name, an attribute or an import alias) from another place in the
 package or from perfbench/rep.py.  References from __init__.py do not
-count, and neither do docstrings.  The allowlist holds the oracles that
-the acceptance criteria read and nothing in the program calls.
+count, and neither do docstrings.  Oracles that only tests call live in
+tests/oracles.py.
 """
 
 import ast
@@ -12,7 +12,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bsratio"
-ALLOWED = {"dft_naive", "truncated_log_L"}
 
 
 def _references(tree: ast.Module):
@@ -44,7 +43,6 @@ def test_every_public_name_has_a_caller():
         for stmt in tree.body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
         and not stmt.name.startswith("_")
-        and stmt.name not in ALLOWED
         and not any(r == stmt.name and (p != path or o != stmt.name) for r, p, o in refs)
     )
     assert unreached == []
