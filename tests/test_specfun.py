@@ -12,12 +12,14 @@ from bsratio.specfun import (
     EULER_GAMMA,
     constants_table,
     digamma,
+    hurwitz_zeta,
     meissel_mertens,
     minimize_harmonic_loglog,
     power_sum_constant,
     prime_zeta,
 )
-from bsratio.ntheory import sieve_primes
+from bsratio.ntheory import build_field, sieve_primes
+from bsratio.primesum import _EulerContext
 
 
 class TestDigamma:
@@ -43,6 +45,46 @@ class TestDigamma:
         assert digamma(x).tolist() == [digamma(v) for v in x.tolist()]
         with pytest.raises(ValueError):
             digamma(np.array([0.5, 0.0, 2.0]))
+
+
+class TestHurwitzZeta:
+    XS = np.concatenate(
+        [[1 / 99991, 1e-6, 0.1, 0.5, 0.898, 1 - 1 / 99991, 1.0], np.linspace(0.005, 1.0, 60)]
+    )
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 6, 9, 15, 30])
+    def test_vs_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.zeta(s, mpmath.mpf(x))) for x in self.XS.tolist()])
+        rel = np.abs(hurwitz_zeta(s, self.XS) - ref) / ref
+        assert np.max(rel) <= (s + 8) * np.finfo(np.float64).eps
+
+    def test_shape_and_scalar(self):
+        x = np.full((2, 3), 0.25)
+        assert hurwitz_zeta(2, x).shape == (2, 3)
+        assert hurwitz_zeta(np.int64(3), 1.0) == pytest.approx(1.2020569031595942, rel=1e-15)
+
+    @pytest.mark.parametrize("s", [2.0, 2.5, "2", 1, 0, -3])
+    def test_domain_s(self, s):
+        with pytest.raises(ValueError):
+            hurwitz_zeta(s, np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
+    def test_domain_x(self, bad):
+        with pytest.raises(ValueError):
+            hurwitz_zeta(2, np.array([0.5, bad, 1.0]))
+
+    @pytest.mark.parametrize("q", [101, 4703])
+    def test_principal_bin(self, q):
+        # sum_a zeta(u, a/q) = q^u zeta(u) (1 - q^-u): the j = 0 bin of L(u, chi)
+        from scipy.special import zetac
+
+        ctx = _EulerContext(build_field(q), q)
+        for u in (2, 3, 4, 6, 9):
+            want = (1.0 + float(zetac(u))) * (1.0 - float(q) ** -u)
+            got = ctx.l_values(u)[0]
+            assert abs(got - want) <= 4 * q * np.finfo(np.float64).eps * want, u
 
 
 class TestPrimeZeta:
