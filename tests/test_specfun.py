@@ -58,7 +58,9 @@ class TestHurwitzZeta:
         with mpmath.workdps(30):
             ref = np.array([float(mpmath.zeta(s, mpmath.mpf(x))) for x in self.XS.tolist()])
         rel = np.abs(hurwitz_zeta(s, self.XS) - ref) / ref
-        assert np.max(rel) <= (s + 8) * np.finfo(np.float64).eps
+        # 1.09 eps measured; with x^-s as a reciprocal raised to s it read
+        # 4.4 eps at s = 6 and 20 eps at s = 30, and failed here from s = 6 on
+        assert np.max(rel) <= 4 * np.finfo(np.float64).eps
 
     def test_shape_and_scalar(self):
         x = np.full((2, 3), 0.25)
