@@ -75,9 +75,10 @@ def _parse_line(line: str, lineno: int) -> tuple:
         raise SchemaError(f"line {lineno}: {exc}") from exc
 
 
-def _read(path: Path) -> tuple[list[tuple], int]:
-    """The rows of a results file's whole lines, and the byte length of
-    those lines; what follows the last newline is the caller's to judge.
+def _read(path: Path) -> tuple[np.ndarray, int]:
+    """The results table of a results file's whole lines, one ROW_DTYPE
+    record per row, and the byte length of those lines; what follows the
+    last newline is the caller's to judge.
 
     An empty file reads as no rows in 0 bytes.  Bytes without a newline
     (a torn header), a header other than CSV_HEADER, or any malformed
@@ -89,17 +90,19 @@ def _read(path: Path) -> tuple[list[tuple], int]:
     if not keep:
         if data:
             raise SchemaError(f"{path}: truncated header")
-        return [], 0
+        return np.empty(0, dtype=ROW_DTYPE), 0
     lines = data[:keep].decode("utf-8", "replace").split("\n")[:-1]
     del data  # the parse needs only the lines: free the file's bytes first
     if lines[0] != CSV_HEADER:
         raise SchemaError(f"{path}: header does not match schema v{SCHEMA_VERSION}")
-    rows, bad = [], []
+    rows, bad = np.empty(len(lines) - 1, dtype=ROW_DTYPE), []
     for i, line in enumerate(lines[1:], start=2):
         try:
-            rows.append(_parse_line(line, i))
+            rows[i - 2] = _parse_line(line, i)
         except SchemaError as exc:
             bad.append(str(exc))
+        except OverflowError as exc:  # an integer beyond int64
+            bad.append(f"line {i}: {exc}")
     if bad:
         raise SchemaError(f"{path}: malformed rows:\n  " + "\n  ".join(bad))
     return rows, keep
@@ -114,10 +117,11 @@ def _scan_resume(path: Path, expected: np.ndarray) -> tuple[int, int]:
     is a hard error -- the file is never silently overwritten.
     """
     rows, keep = _read(path)
-    want = expected[: len(rows)].tolist()
-    for i, row in enumerate(rows):
-        if i >= len(want) or row[0] != want[i]:
-            raise SchemaError(f"{path}: line {i + 2}: unexpected q={row[0]}")
+    n = min(len(rows), len(expected))
+    wrong = np.flatnonzero(rows["q"][:n] != expected[:n])
+    i = int(wrong[0]) if wrong.size else n
+    if i < len(rows):
+        raise SchemaError(f"{path}: line {i + 2}: unexpected q={rows['q'][i]}")
     return len(rows), keep
 
 
@@ -193,7 +197,7 @@ def load_rows(path: str | os.PathLike) -> np.recarray:
         raise SchemaError(f"{path}: empty file")
     if keep != path.stat().st_size:
         raise SchemaError(f"{path}: torn final line {len(rows) + 2}")
-    return np.rec.fromrecords(rows, dtype=ROW_DTYPE)
+    return rows.view(np.recarray)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ truncation remainders have closed-form bounds
 
 so M and K can be chosen to push E1+E2 below any requested 10^-delta.
 
-Character-indexed sums are evaluated over root-of-unity orbits: as j runs
-over all characters, chi_{ju}(p) = e(ju*dlog(p)/n) sweeps the (n/g)-th
-roots of unity g = gcd(u*dlog(p), n) times each, and
+Every prime-side sum is one orbit routine, _prime_orbit_sum(u): as j
+runs over all characters, chi_{ju}(p) = e(ju*dlog(p)/n) sweeps the
+(n/g')-th roots of unity g' = gcd(u*dlog(p), n) times each, and
 prod_{t<m} (1 - e(t/m) x) = 1 - x^m collapses every inner product to a
-real log.  That keeps the whole verifier O(#distinct km * (q log q + pi(P))).
+real log.  It is the head sum, negated, at u = 1 and the prime side of
+T(u) at u >= 2, so the verifier is O(#distinct km * (q log q + pi(P))).
 Each context takes g = gcd(dlog(p), n) once per prime; since
 gcd(dlog(p)/g, n/g) = 1, gcd(u*dlog(p), n) = g*gcd(u, n/g), and an orbit
 term g' log(1 - p^-e) with e = u*n/g' >= n/g is an exact 0.0 in doubles
@@ -33,10 +34,11 @@ terms, then the tail with 9 Bernoulli terms, whose remainder is at most
 scipy.special.zeta's time.
 
 verify_ratio also splits its total into a prime part sigma1 and a
-prime-power part sigma2: sigma2 is a closed-form head over p <= P plus the
-m >= 2 tail, and sigma1 is the difference.  Summing sigma1 "directly" (the
-head sum_{p<=P} (sum_chi chi(p))/p plus the m = 1 tail) only rearranges the
-same terms, so it would be no independent check and is not computed.
+prime-power part sigma2.  As the head sum is
+sum_p sum_{m>=1} (n [ord_q p | m] - 1)/(m p^m), sigma2 is the head sum less
+its m = 1 terms plus the m >= 2 tail, which one pass over the T(u) returns
+with the m >= 1 tail; sigma1 is the difference.  Summing sigma1 "directly"
+only rearranges the same terms, so it would be no independent check.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ def choose_plan(q: int, A: int = DEFAULT_A, delta: int = 8) -> TruncationPlan:
     """Minimal M, then minimal K, putting each remainder below 10^-delta / 2.
 
     Both bounds decay geometrically, so the loops terminate for any delta.
+    A plan whose largest exponent u = M*K would overflow the Hurwitz zeta
+    weight zeta(u, 1/q) > q^u raises ValueError.
     """
     if A < 1 or delta < 1:
         raise ValueError("choose_plan requires A >= 1 and delta >= 1")
@@ -125,6 +129,8 @@ def choose_plan(q: int, A: int = DEFAULT_A, delta: int = 8) -> TruncationPlan:
     K = 1
     while _log_e2(q, P, K) >= target:
         K += 1
+    if M * K * math.log(q) > math.log(np.finfo(np.float64).max):
+        raise ValueError(f"delta={delta} is too deep at q={q}: zeta(M*K, 1/q) overflows at M*K = {M * K}")
     return TruncationPlan(
         A=A,
         P=P,
@@ -143,10 +149,10 @@ def _sum(terms: np.ndarray) -> float:
 
 
 class _EulerContext:
-    """Per-(field, P) scratch: sieved primes, their discrete logs, their
-    gcds g = gcd(dlog p, n) and orders n/g, the indices `live` of the
-    primes whose p^-(n/g) does not underflow (every other orbit term is an
-    exact 0.0), and one cached orbit sum T(s) per distinct exponent s."""
+    """Per-(field, P) scratch, fixed once built: sieved primes, their
+    discrete logs, their gcds g = gcd(dlog p, n) and orders n/g, and the
+    indices `live` of the primes whose p^-(n/g) does not underflow (every
+    other orbit term is an exact 0.0)."""
 
     def __init__(self, field: PrimeField, P: int):
         if P < field.q:
@@ -161,7 +167,6 @@ class _EulerContext:
         self.gcds = np.gcd(self.dlogs, field.n)
         self.orders = field.n // self.gcds
         self.live = np.flatnonzero(self.orders * np.log2(self.pfloat) < _UNDERFLOW_BITS)
-        self._orbit_sums: dict[int, float] = {}
 
     def l_values(self, s: int) -> np.ndarray:
         """L(s, chi_j) for every j (principal included at j=0) via
@@ -174,25 +179,29 @@ class _EulerContext:
         f[1:] = hurwitz_zeta(s, np.arange(1, q) / q)
         return char_spectrum(self.field, f) * float(q) ** (-s)
 
-    def tail(self, M: int, K: int, m_start: int) -> float:
-        """sum_u c_u T(u), the Moebius tail over u = km with k <= K,
-        m_start <= m <= M, mu(k) != 0 and (k,m) != (1,1), where c_u is the
-        net coefficient sum mu(k)/(km).  For u <= min(M,K) the divisor sums
-        cancel to an IEEE-exact zero and T(u) is skipped.  Each T(u) is
-        evaluated once per context, whichever tails share it."""
-        coeff: dict[int, float] = defaultdict(float)
-        for m in range(m_start, M + 1):
+    def tails(self, M: int, K: int) -> tuple[float, float]:
+        """The Moebius tails sum_u c_u T(u) over m >= 1 and over m >= 2, in
+        one pass: u = km with k <= K, m <= M, mu(k) != 0 and
+        (k,m) != (1,1), and c_u the net coefficient sum mu(k)/(km) of each
+        range.  For u <= min(M,K) the m >= 1 divisor sums cancel to an
+        IEEE-exact zero; T(u) is evaluated once for each u whose coefficient
+        in either tail is not zero."""
+        c1: dict[int, float] = defaultdict(float)
+        c2: dict[int, float] = defaultdict(float)
+        for m in range(1, M + 1):
             for k in range(1, K + 1):
                 mk = moebius(k)
                 if mk and (k, m) != (1, 1):
-                    coeff[k * m] += mk / (k * m)
-        total = 0.0
-        for u, c in sorted(coeff.items()):
-            if c != 0.0:
-                if u not in self._orbit_sums:
-                    self._orbit_sums[u] = _orbit_log_sum(self, u)
-                total += c * self._orbit_sums[u]
-        return total
+                    c1[k * m] += mk / (k * m)
+                    if m >= 2:
+                        c2[k * m] += mk / (k * m)
+        tail1 = tail2 = 0.0
+        for u in sorted(c1):
+            if c1[u] != 0.0 or c2[u] != 0.0:
+                t = _orbit_log_sum(self, u)
+                tail1 += c1[u] * t
+                tail2 += c2[u] * t
+        return tail1, tail2
 
 
 def _prepare(q: int, A: int, delta: int) -> tuple[PrimeField, TruncationPlan, _EulerContext]:
@@ -206,43 +215,17 @@ def _prepare(q: int, A: int, delta: int) -> tuple[PrimeField, TruncationPlan, _E
 
 
 def head_sum(field: PrimeField, P: int) -> float:
-    """r(q,P) = -sum_{chi != chi0} sum_{p<=P} log(1 - chi(p)/p).
-
-    For each prime the character orbit closes up:
-    sum_{j != 0} log|1 - chi_j(p)/p| = g log(1 - p^(-n/g)) - log(1 - 1/p)
-    with g = gcd(dlog p, n); imaginary parts cancel in conjugate pairs, so
-    the total is real exactly.
-    """
-    ctx = _EulerContext(field, P)
-    return _head_sum(ctx)
+    """r(q,P) = -sum_{chi != chi0} sum_{p<=P} log(1 - chi(p)/p), the
+    negated prime orbit sum at u = 1; imaginary parts cancel in conjugate
+    pairs, so the total is real exactly."""
+    return -_prime_orbit_sum(_EulerContext(field, P), 1)
 
 
-def _head_sum(ctx: _EulerContext) -> float:
-    live = ctx.live
-    p = ctx.pfloat[live]
-    terms = -np.log1p(-1.0 / ctx.pfloat)
-    with np.errstate(under="ignore"):
-        # elsewhere the orbit term is -0.0, and -0.0 - x == -x
-        terms[live] += ctx.gcds[live] * np.log1p(-(p ** -ctx.orders[live].astype(np.float64)))
-    return -_sum(terms)
-
-
-def _orbit_log_sum(ctx: _EulerContext, u: int) -> float:
-    """T(u) = sum_{j=1}^{n-1} Re log L_P(u, chi_(ju mod n)).
-
-    L-part over the orbit of multiples of gcd(u, n); head corrections over
-    root-of-unity orbits per prime; the j=0 (principal) term, for which
-    L_P(u, chi0) = zeta(u) prod_{p<=P}(1 - p^-u), is subtracted at the end.
-    """
-    field = ctx.field
-    n = field.n
-    gs = gcd(u, n)
-    idx = gs * np.arange(n // gs)
-    lsum = gs * _sum(np.log(np.abs(ctx.l_values(u)[idx])))
-    princ = math.log1p(float(sp.zetac(u))) + math.log1p(-float(field.q) ** (-u))
-
-    # gcd(u*dlog p, n) = g*gcd(u, n/g); e = u*n/g2 >= n/g, so off the live
-    # primes the orbit term is an exact zero
+def _prime_orbit_sum(ctx: _EulerContext, u: int) -> float:
+    """sum_{p<=P} sum_{j=1}^{n-1} log|1 - chi_(ju)(p) p^-u| for any u >= 1:
+    per prime, g' log(1 - p^(-u n/g')) - log(1 - p^-u), g' = gcd(u dlog p, n)."""
+    # g' = g*gcd(u, n/g); u*n/g' >= n/g, so off the live primes the orbit
+    # term is an exact zero
     live = ctx.live
     order = ctx.orders[live]
     shared = np.gcd(u, order)
@@ -250,7 +233,23 @@ def _orbit_log_sum(ctx: _EulerContext, u: int) -> float:
     with np.errstate(under="ignore"):
         orbit = g2 * np.log1p(-ctx.pfloat[live] ** (-(u * (order // shared)).astype(np.float64)))
         plain = np.log1p(-ctx.pfloat ** (-float(u)))
-    total = lsum - princ + _sum(orbit) - _sum(plain)
+    return _sum(orbit) - _sum(plain)
+
+
+def _orbit_log_sum(ctx: _EulerContext, u: int) -> float:
+    """T(u) = sum_{j=1}^{n-1} Re log L_P(u, chi_(ju mod n)), u >= 2.
+
+    L-part over the orbit of multiples of gcd(u, n), plus the prime orbit
+    sum; the j=0 (principal) term, for which
+    L_P(u, chi0) = zeta(u) prod_{p<=P}(1 - p^-u), is subtracted.
+    """
+    field = ctx.field
+    n = field.n
+    gs = gcd(u, n)
+    idx = gs * np.arange(n // gs)
+    lsum = gs * _sum(np.log(np.abs(ctx.l_values(u)[idx])))
+    princ = math.log1p(float(sp.zetac(u))) + math.log1p(-float(field.q) ** (-u))
+    total = lsum - princ + _prime_orbit_sum(ctx, u)
 
     bound = (n - 1) * float(ctx.P) ** (1 - u) / (u - 1)
     slack = 1e-10 + 16 * _EPS * math.log2(max(n, 2)) * n
@@ -272,7 +271,7 @@ def moebius_tail(field: PrimeField, plan: TruncationPlan, l1_values) -> float:
     if float(np.min(l1)) <= 0.0:
         raise ValueError("L(1,chi) magnitudes must be positive")
     ctx = _EulerContext(field, plan.P)
-    return _sum(np.log(l1)) - _head_sum(ctx) + ctx.tail(plan.M, plan.K, 1)
+    return _sum(np.log(l1)) + _prime_orbit_sum(ctx, 1) + ctx.tails(plan.M, plan.K)[0]
 
 
 def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
@@ -291,39 +290,35 @@ def verify_ratio(q: int, A: int = DEFAULT_A, delta: int = 8) -> SigmaSplit:
     (re-rounded so the stored identity is bit-exact).
     """
     field, plan, ctx = _prepare(q, A, delta)
-    total = log_ratio_naive(field).log_R + ctx.tail(plan.M, plan.K, 1)
-    power = _power_sum_ctx(ctx, plan)
+    tail1, tail2 = ctx.tails(plan.M, plan.K)
+    total = log_ratio_naive(field).log_R + tail1
+    power = _power_sum(ctx, plan, tail2)
     prime = total - power
     return SigmaSplit(q=q, prime_sum=prime, power_sum=power, total=prime + power, plan=plan)
 
 
-def _power_sum_ctx(ctx: _EulerContext, plan: TruncationPlan) -> float:
-    """Prime-power part: exact head over p <= P (geometric closed forms via
-    the multiplicative order e_p of p mod q), plus the m >= 2 Moebius tail."""
-    field = ctx.field
-    n = field.n
-    live = ctx.live
-    # sum_{m>=2} 1/(m p^m) and its restriction to e_p | m; off the live
-    # primes the restriction is an exact 0.0, and n * 0.0 - x == -x
-    all_m = -np.log1p(-1.0 / ctx.pfloat) - 1.0 / ctx.pfloat
-    terms = -all_m
-    e, p, a = ctx.orders[live].astype(np.float64), ctx.pfloat[live], all_m[live]
-    with np.errstate(under="ignore"):
-        on_orbit = np.where(e >= 2, -np.log1p(-(p**-e)) / e, a)
-    terms[live] = n * on_orbit - a
-    value = _sum(terms) + ctx.tail(plan.M, plan.K, 2)
-    bound = simple_bound(field.q)
+def _power_head(ctx: _EulerContext) -> float:
+    """The prime-power part's head over p <= P: the head sum
+    sum_p sum_{m>=1} (n [ord_q p | m] - 1)/(m p^m) less its m = 1 terms."""
+    first = np.where(ctx.orders == 1, ctx.field.n - 1.0, -1.0) / ctx.pfloat
+    return -_prime_orbit_sum(ctx, 1) - _sum(first)
+
+
+def _power_sum(ctx: _EulerContext, plan: TruncationPlan, tail: float) -> float:
+    """Prime-power part: its head plus the m >= 2 Moebius tail, checked
+    against bounds.simple_bound."""
+    q = ctx.field.q
+    value = _power_head(ctx) + tail
+    bound = simple_bound(q)
     if abs(value) > bound + 10.0 ** (-plan.delta):
-        raise VerificationError(
-            f"q={field.q}: |prime-power sum| = {abs(value):.6f} violates bound {bound:.6f}"
-        )
+        raise VerificationError(f"q={q}: |prime-power sum| = {abs(value):.6f} violates bound {bound:.6f}")
     return value
 
 
 def prime_power_sum(q: int, A: int = DEFAULT_A, delta: int = 8) -> float:
     """The prime-power part of log R(q), certified to 10^-delta."""
     _, plan, ctx = _prepare(q, A, delta)
-    return _power_sum_ctx(ctx, plan)
+    return _power_sum(ctx, plan, ctx.tails(plan.M, plan.K)[1])
 
 
 def mertens_constant_q1(split: SigmaSplit) -> float:

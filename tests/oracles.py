@@ -58,3 +58,20 @@ def truncated_log_L(s: int, j: int, field: PrimeField, P: int) -> complex:
             f"|log L_P({s}, chi_{j})| = {abs(total):.3e} exceeds bound {bound:.3e}"
         )
     return total
+
+
+def power_head_closed_form(ctx: _EulerContext) -> float:
+    """sum_{p<=P} sum_{m>=2} (n [ord_q p | m] - 1)/(m p^m) by geometric
+    closed forms in the order e_p of p mod q: sum_{m>=2} 1/(m p^m) is
+    -log(1 - 1/p) - 1/p, and its restriction to e_p | m is
+    -log(1 - p^-e_p)/e_p when e_p >= 2."""
+    n = ctx.field.n
+    live = ctx.live
+    # off the live primes the restriction is an exact 0.0, and n * 0.0 - x == -x
+    all_m = -np.log1p(-1.0 / ctx.pfloat) - 1.0 / ctx.pfloat
+    terms = -all_m
+    e, p, a = ctx.orders[live].astype(np.float64), ctx.pfloat[live], all_m[live]
+    with np.errstate(under="ignore"):
+        on_orbit = np.where(e >= 2, -np.log1p(-(p**-e)) / e, a)
+    terms[live] = n * on_orbit - a
+    return _sum(terms)

@@ -97,6 +97,14 @@ def test_bad_plan_argument_exits_2(command, flag, capsys):
     _assert_error_exit_2([command, "--q", "101", flag, "0"], capsys)
 
 
+@pytest.mark.parametrize("command", ["verify", "sigma"])
+def test_overflowing_delta_exits_2_without_warnings(command, recwarn, capsys):
+    # at q = 101, delta = 40 plans M = K = 13 and zeta(169, 1/101) overflows
+    err = _assert_error_exit_2([command, "--q", "101", "--delta", "40"], capsys)
+    assert "delta=40" in err and "q=101" in err and "M*K = 169" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command", ["verify", "sigma", "hreg"])
 def test_not_an_odd_prime_exits_2(command, capsys):
     assert "q=100 is not an odd prime" in _assert_error_exit_2([command, "--q", "100"], capsys)

@@ -114,6 +114,19 @@ class TestComputeRange:
         with pytest.raises(SchemaError):
             compute_range(3, 100, out=bad, resume=True)
 
+    def test_resume_names_first_unexpected_q(self, tmp_path, csv100):
+        lines = csv100.read_text().splitlines()
+        bad = tmp_path / "wrong.csv"
+        bad.write_text("\n".join([lines[0], lines[2], lines[1]]) + "\n")
+        with pytest.raises(SchemaError, match="line 2: unexpected q=5$"):
+            compute_range(3, 100, out=bad, resume=True)
+        # 14 primes lie in [3, 50]: the 15th row, q = 53, is beyond them
+        longer = tmp_path / "longer.csv"
+        longer.write_bytes(csv100.read_bytes())
+        with pytest.raises(SchemaError, match="line 16: unexpected q=53$"):
+            compute_range(3, 50, out=longer, resume=True)
+        assert longer.read_bytes() == csv100.read_bytes()
+
     def test_malformed_interior_line(self, tmp_path, csv100):
         lines = csv100.read_text().splitlines()
         lines[2] = "garbage"
@@ -224,6 +237,15 @@ class TestSummarize:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="line 4"):
             load_rows(bad)
+
+    def test_out_of_range_integer_named(self, tmp_path, csv100):
+        lines = csv100.read_text().splitlines()
+        lines[7] = "9" * 20 + lines[7][lines[7].index(","):]
+        bad = tmp_path / "huge.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        for read in (load_rows, lambda p: compute_range(3, 100, out=p, resume=True)):
+            with pytest.raises(SchemaError, match="line 8: Python int too large"):
+                read(bad)
 
     def test_blank_line_refused_as_by_resume(self, tmp_path, csv100):
         lines = csv100.read_text().splitlines()

@@ -11,6 +11,7 @@ from bsratio.ntheory import sieve_primes
 from bsratio.primesum import (
     _EulerContext,
     _orbit_log_sum,
+    _power_head,
     choose_plan,
     head_sum,
     mertens_constant_q1,
@@ -21,7 +22,7 @@ from bsratio.primesum import (
 from bsratio.ratio import _class_sum, log_ratio_fft, log_ratio_naive, naive_l1_magnitudes
 from bsratio.specfun import meissel_mertens, power_sum_constant
 
-from oracles import truncated_log_L
+from oracles import power_head_closed_form, truncated_log_L
 
 LOG_R3 = math.log(math.pi / (3 * math.sqrt(3)))
 
@@ -57,6 +58,22 @@ class TestChoosePlan:
     def test_domain(self):
         with pytest.raises(ValueError):
             choose_plan(101, A=0, delta=8)
+
+    def test_refuses_overflowing_exponent(self, monkeypatch):
+        # M*K*ln(101) is 664.6 at delta = 39 and 780.0 at delta = 40, against
+        # ln(DBL_MAX) = 709.78: zeta(M*K, 1/q) > q^(M*K) must stay finite
+        plan = choose_plan(101, delta=39)
+        assert plan.M * plan.K == 144
+        with pytest.raises(ValueError, match=r"delta=40 .* q=101: .* M\*K = 169"):
+            choose_plan(101, delta=40)
+
+        def no_sieve(n):
+            raise AssertionError("sieved before the plan was checked")
+
+        monkeypatch.setattr(primesum, "sieve_primes", no_sieve)
+        for call in (verify_ratio, prime_power_sum):
+            with pytest.raises(ValueError, match=r"M\*K = 169"):
+                call(101, delta=40)
 
 
 def _brute_head_sum(f, P):
@@ -174,17 +191,25 @@ def _full_orbit_log_sum(ctx, u):
 
 class TestOrbitSumShortcuts:
     @pytest.mark.parametrize("q", [101, 1009, 4703])
-    def test_against_full_evaluation(self, field, q):
+    def test_against_full_evaluation(self, field, q, monkeypatch):
+        # record each T(u) of the tails verify_ratio runs
+        sums = {}
+        orbit_log_sum = primesum._orbit_log_sum
+
+        def recorded(ctx, u):
+            sums[u] = orbit_log_sum(ctx, u)
+            return sums[u]
+
+        monkeypatch.setattr(primesum, "_orbit_log_sum", recorded)
         plan = choose_plan(q)
         ctx = _EulerContext(field(q), plan.P)
-        ctx.tail(plan.M, plan.K, 1)  # the tails verify_ratio runs fill the cache
-        ctx.tail(plan.M, plan.K, 2)
-        assert ctx._orbit_sums
+        ctx.tails(plan.M, plan.K)
+        assert sums
         dead = np.ones(ctx.primes.size, dtype=bool)
         dead[ctx.live] = False
         # at q = 101 every order n/g <= 100 keeps p^-(n/g) above 2^-1100
         assert dead.any() == (q > 101) and not dead.all()
-        for u, value in ctx._orbit_sums.items():
+        for u, value in sums.items():
             full, orbit = _full_orbit_log_sum(ctx, u)
             assert value == pytest.approx(full, abs=1e-13)
             # the underflow cut only skips exact zeros
@@ -316,6 +341,13 @@ def _brute_sigma2(f, pmax=10**6, mmax=40):
         with np.errstate(under="ignore"):
             total += float(np.sum(chi_sum * pf ** (-float(m)))) / m
     return total
+
+
+class TestPowerHead:
+    @pytest.mark.parametrize("q", [3, 7, 101, 4703, 20011])
+    def test_head_sum_less_first_terms(self, field, q):
+        ctx = _EulerContext(field(q), choose_plan(q).P)
+        assert abs(_power_head(ctx) - power_head_closed_form(ctx)) <= 1e-15
 
 
 class TestPrimePowerSum:
