@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -22,7 +23,7 @@ from bsratio.figures import (
     plot_scatter,
     scatter_scale,
 )
-from bsratio.ntheory import build_field
+from bsratio.ntheory import build_field, sieve_primes
 from bsratio.pipeline import (
     CSV_HEADER,
     ROW_DTYPE,
@@ -321,6 +322,59 @@ class TestHistogram:
         assert a.read_bytes() == b.read_bytes()
         svg = a.read_text()
         assert 'class="bar-total"' in svg and 'class="mean"' in svg
+
+
+def _synthetic_rows(n: int, seed: int) -> np.ndarray:
+    """n ROW_DTYPE rows at the first n odd primes (q = 3 first, with the
+    largest R): R, R_norm and the flags from a 32-bit LCG, every float a
+    dyadic rational, so the table is the same on any platform."""
+    rows = np.zeros(n, dtype=ROW_DTYPE)
+    rows["q"] = [int(p) for p in sieve_primes(20 * n)[1 : n + 1]]
+    x = seed
+    for i in range(n):
+        x = (1664525 * x + 1013904223) % 2**32
+        r = 3.5 if i == 0 else 0.25 + (x >> 8) / 2**24 * 2.5
+        rows[i]["R"], rows[i]["R_norm"] = r, r * (1 + (x % 7) / 8)
+        rows[i]["flag_2qp1"], rows[i]["flag_2qm1"] = bool(x & 1 << 4), bool(x & 1 << 5)
+    return rows.view(np.recarray)
+
+
+class TestFigureBytes:
+    """The sha256 of each SVG: any change to the emitted bytes, a float
+    expression's operation order included, fails here."""
+
+    TABLES = {
+        "synthetic": lambda: _synthetic_rows(600, seed=2029),
+        "equal_R": lambda: np.array(
+            [(3, 2, 0.0, 1.0, 1.5, 0.0, True, False), (5, 2, 0.0, 1.0, 1.5, 0.0, False, True)],
+            dtype=ROW_DTYPE,
+        ).view(np.recarray),
+    }
+    SHA256 = {
+        "equal_R": {
+            "values_scatter.svg": "7c7b333ad814298eb243ea15a1cfc0808cc8b0ab4f0db59b694d6f0e81fa1e00",
+            "values_hist.svg": "fd923afc1252df897737722b8ef9d4cbc864cef70baef74125c8c29afee895f8",
+            "normalized_scatter.svg": "7fb29ad326e489802e4045ff6bfe11b00f50ef572f27550f3b2363319bfd77b8",
+            "normalized_hist.svg": "f5180881163d8d3e9223657427bc2620d859f3c5ecb6009355a4c0bbdd7dbf03",
+        },
+        "synthetic": {
+            "values_scatter.svg": "707e5ad4741b7b70ff4d0f2e715d83c14708b1265bdec012b143faf93c8bee25",
+            "values_hist.svg": "cbf82fc0a719b9c87f580d7c62a6c73fd01750f61d463094a1676dcca5e904ee",
+            "normalized_scatter.svg": "a88f60823e47a1ed5651480354d4fbe3d0a933c6d1dc24dfcf11b22200234b4f",
+            "normalized_hist.svg": "c93be26f2ae2d106bcbc0bf4e36ea9c93c0dde629ce76b35d04b1277afcbde2c",
+        },
+    }
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_sha256(self, table, tmp_path):
+        rows = self.TABLES[table]()
+        got = {}
+        for normalized, stem in ((False, "values"), (True, "normalized")):
+            for kind, plot in (("scatter", plot_scatter), ("hist", plot_histogram)):
+                out = tmp_path / f"{stem}_{kind}.svg"
+                plot(rows, normalized, out)
+                got[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == self.SHA256[table]
 
 
 class TestMeanLineHelper:
