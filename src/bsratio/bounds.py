@@ -77,9 +77,9 @@ def report_columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 def check_dusart(x: float) -> bool:
     """|sum_{p<=x} 1/p - log log x - M| <= 0.2/(log x)^3, valid from
-    x = 2278383 on."""
-    if x < DUSART_MIN_X:
-        raise ValueError(f"check_dusart requires x >= {DUSART_MIN_X}")
+    x = 2278383 on; a non-finite x is refused."""
+    if not DUSART_MIN_X <= x < math.inf:
+        raise ValueError(f"check_dusart requires a finite x >= {DUSART_MIN_X}, got {x}")
     s = prime_reciprocal_sum(x)
     m = constants_table().meissel_mertens
     return abs(s - math.log(math.log(x)) - m) <= 0.2 / math.log(x) ** 3

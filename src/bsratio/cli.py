@@ -140,18 +140,18 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bounds(args) -> int:
     rows = pipeline.load_rows(args.in_path)
+    # checked first, so a refused x prints no row; reported last
+    dusart_ok = None if args.dusart_x is None else bounds_mod.check_dusart(args.dusart_x)
     columns = bounds_mod.report_columns(rows)
     print("q,simple_bound,refined_bound,envelope_ok,normalized_ok")
     for q, simple, refined, env, band in zip(rows.q.tolist(), *(c.tolist() for c in columns)):
         print(f"{q},{simple:.10f},{refined:.10f},{int(env)},{int(band)}")
     n_env, n_band = (int(c.sum()) for c in columns[2:])
     print(f"# envelope ok: {n_env}/{len(rows)}   normalized band ok: {n_band}/{len(rows)}")
-    if args.dusart_x is not None:
-        ok = bounds_mod.check_dusart(args.dusart_x)
-        print(f"# dusart at x={args.dusart_x}: {'ok' if ok else 'VIOLATED'}")
-        if not ok:
-            return 1
-    return 0
+    if dusart_ok is None:
+        return 0
+    print(f"# dusart at x={args.dusart_x}: {'ok' if dusart_ok else 'VIOLATED'}")
+    return 0 if dusart_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

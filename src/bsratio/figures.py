@@ -1,7 +1,9 @@
 """Deterministic SVG emitters for the scatter and histogram views.
 
 Hand-rolled SVG with fixed formatting: the same rows always produce
-byte-identical output, which plotting libraries do not guarantee.
+byte-identical output, which plotting libraries do not guarantee.  One
+canvas (background, frame, ticks, axis labels) serves both plotters,
+which add their marks to it and hand it to one writer.
 """
 
 from __future__ import annotations
@@ -17,41 +19,29 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 20, 50
 PLOT_W = WIDTH - MARGIN_L - MARGIN_R
 PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
 
-POINT_COLOR = "#2a6f97"
-HIGHLIGHT_COLOR = "#d62828"
-MEAN_COLOR = "#d62828"
-TOTAL_COLOR = "#69a2c9"
-P1_COLOR = "#4f9d4f"
-M1_COLOR = "#e8c83d"
+_MEAN_STYLE = 'stroke="#d62828" stroke-width="1.5" stroke-dasharray="6,4"'
 
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _svg_open(parts: list[str]) -> None:
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
-    )
-    parts.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-
-
-def _frame(parts: list[str]) -> None:
-    parts.append(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" height="{PLOT_H}" '
-        'fill="none" stroke="#333333" stroke-width="1"/>'
-    )
-
-
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / 5
+    return [lo + i * step for i in range(6)]
 
 
-def _axes(parts: list[str], xlo, xhi, ylo, yhi, xlabel: str, ylabel: str) -> None:
+def _canvas(xlo, xhi, ylo, yhi, xlabel: str, ylabel: str) -> list[str]:
+    """The opening tag, background, frame, ticks and axis labels."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" height="{PLOT_H}" '
+        'fill="none" stroke="#333333" stroke-width="1"/>',
+    ]
     for tx in _ticks(xlo, xhi):
         px = MARGIN_L + (tx - xlo) / (xhi - xlo) * PLOT_W if xhi > xlo else MARGIN_L
         parts.append(
@@ -80,20 +70,17 @@ def _axes(parts: list[str], xlo, xhi, ylo, yhi, xlabel: str, ylabel: str) -> Non
         f'<text x="16" y="{MARGIN_T + PLOT_H / 2:.1f}" font-family="monospace" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 16 {MARGIN_T + PLOT_H / 2:.1f})">{ylabel}</text>'
     )
+    return parts
 
 
-def _values(rows: np.recarray, normalized: bool) -> np.ndarray:
-    return rows.R_norm if normalized else rows.R
-
-
-def mean_line_y(values: np.ndarray, ylo: float, yhi: float) -> float:
-    """Pixel y of the horizontal mean line; exposed for parse-back checks."""
-    mean = float(np.mean(values))
-    return MARGIN_T + PLOT_H - (mean - ylo) / (yhi - ylo) * PLOT_H
+def _write(parts: list[str], path: str | os.PathLike) -> None:
+    """Close the canvas and write it, one element a line."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(parts) + "\n</svg>\n")
 
 
 def scatter_scale(rows: np.recarray, normalized: bool) -> tuple[float, float, float, float]:
-    values = _values(rows, normalized)
+    values = rows.R_norm if normalized else rows.R
     xlo, xhi = 0.0, float(rows.q.max()) * 1.02
     ylo, yhi = 0.0, float(values.max()) * 1.05
     return xlo, xhi, ylo, yhi
@@ -105,19 +92,15 @@ def plot_scatter(rows: np.recarray, normalized: bool, out_path: str | os.PathLik
     The q=3 point, when present, is drawn enlarged in red (it carries the
     maximal R by a wide margin).
     """
-    values = _values(rows, normalized)
+    values = rows.R_norm if normalized else rows.R
     xlo, xhi, ylo, yhi = scatter_scale(rows, normalized)
-
-    parts: list[str] = []
-    _svg_open(parts)
-    _frame(parts)
     ylabel = "R(q) (log q)^(3/4)" if normalized else "R(q)"
-    _axes(parts, xlo, xhi, ylo, yhi, "q", ylabel)
+    parts = _canvas(xlo, xhi, ylo, yhi, "q", ylabel)
 
-    my = mean_line_y(values, ylo, yhi)
+    my = MARGIN_T + PLOT_H - (float(np.mean(values)) - ylo) / (yhi - ylo) * PLOT_H
     parts.append(
         f'<line class="mean" x1="{MARGIN_L}" y1="{_fmt(my)}" x2="{MARGIN_L + PLOT_W}" '
-        f'y2="{_fmt(my)}" stroke="{MEAN_COLOR}" stroke-width="1.5" stroke-dasharray="6,4"/>'
+        f'y2="{_fmt(my)}" {_MEAN_STYLE}/>'
     )
     pxs = MARGIN_L + (rows.q - xlo) / (xhi - xlo) * PLOT_W
     pys = MARGIN_T + PLOT_H - (values - ylo) / (yhi - ylo) * PLOT_H
@@ -125,15 +108,14 @@ def plot_scatter(rows: np.recarray, normalized: bool, out_path: str | os.PathLik
         if q == 3:
             parts.append(
                 f'<circle class="pt highlight" cx="{_fmt(px)}" cy="{_fmt(py)}" r="4.0" '
-                f'fill="{HIGHLIGHT_COLOR}"/>'
+                'fill="#d62828"/>'
             )
         else:
             parts.append(
                 f'<circle class="pt" cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.6" '
-                f'fill="{POINT_COLOR}" fill-opacity="0.75"/>'
+                'fill="#2a6f97" fill-opacity="0.75"/>'
             )
-    parts.append("</svg>")
-    _write_text(out_path, "\n".join(parts) + "\n")
+    _write(parts, out_path)
 
 
 def freedman_diaconis_edges(values: np.ndarray) -> np.ndarray:
@@ -152,58 +134,38 @@ def freedman_diaconis_edges(values: np.ndarray) -> np.ndarray:
     return lo + h * np.arange(nbins + 1)
 
 
-def histogram_scale(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    edges = freedman_diaconis_edges(values)
-    counts, _ = np.histogram(values, bins=edges)
-    return edges, counts
-
-
 def plot_histogram(rows: np.recarray, normalized: bool, out_path: str | os.PathLike) -> None:
     """Histogram of the full population with both flagged subpopulations
     (2q+1 prime, 2q-1 prime) superimposed on the same bins."""
-    values = _values(rows, normalized)
-    edges, counts = histogram_scale(values)
-    counts_p1, _ = np.histogram(values[rows.flag_2qp1], bins=edges)
-    counts_m1, _ = np.histogram(values[rows.flag_2qm1], bins=edges)
-
+    values = rows.R_norm if normalized else rows.R
+    edges = freedman_diaconis_edges(values)
+    bars = [
+        (cls, np.histogram(values[mask], bins=edges)[0], fill)
+        for cls, mask, fill in (
+            ("bar-total", slice(None), 'fill="#69a2c9" fill-opacity="0.9"'),
+            ("bar-2qp1", rows.flag_2qp1, 'fill="#4f9d4f" fill-opacity="0.8"'),
+            ("bar-2qm1", rows.flag_2qm1, 'fill="#e8c83d" fill-opacity="0.7"'),
+        )
+    ]
     xlo, xhi = float(edges[0]), float(edges[-1])
     span = xhi - xlo if xhi > xlo else 1.0
-    ymax = max(1, int(counts.max()))
-
-    parts: list[str] = []
-    _svg_open(parts)
-    _frame(parts)
+    ymax = max(1, int(bars[0][1].max()))
     xlabel = "R(q) (log q)^(3/4)" if normalized else "R(q)"
-    _axes(parts, xlo, xhi, 0.0, float(ymax), xlabel, "count")
+    parts = _canvas(xlo, xhi, 0.0, float(ymax), xlabel, "count")
 
-    def bars(cls: str, cnts: np.ndarray, color: str, opacity: str) -> None:
-        for i, c in enumerate(cnts):
-            if c == 0:
-                continue
+    for cls, counts, fill in bars:
+        for i in np.flatnonzero(counts):
             x0 = MARGIN_L + (edges[i] - xlo) / span * PLOT_W
             x1 = MARGIN_L + (edges[i + 1] - xlo) / span * PLOT_W
-            hpx = c / ymax * PLOT_H
+            hpx = counts[i] / ymax * PLOT_H
             parts.append(
                 f'<rect class="{cls}" x="{_fmt(x0)}" y="{_fmt(MARGIN_T + PLOT_H - hpx)}" '
-                f'width="{_fmt(x1 - x0)}" height="{_fmt(hpx)}" fill="{color}" '
-                f'fill-opacity="{opacity}"/>'
+                f'width="{_fmt(x1 - x0)}" height="{_fmt(hpx)}" {fill}/>'
             )
 
-    bars("bar-total", counts, TOTAL_COLOR, "0.9")
-    bars("bar-2qp1", counts_p1, P1_COLOR, "0.8")
-    bars("bar-2qm1", counts_m1, M1_COLOR, "0.7")
-
-    mean = float(np.mean(values))
-    mx = MARGIN_L + (mean - xlo) / span * PLOT_W
+    mx = MARGIN_L + (float(np.mean(values)) - xlo) / span * PLOT_W
     parts.append(
         f'<line class="mean" x1="{_fmt(mx)}" y1="{MARGIN_T}" x2="{_fmt(mx)}" '
-        f'y2="{MARGIN_T + PLOT_H}" stroke="{MEAN_COLOR}" stroke-width="1.5" '
-        'stroke-dasharray="6,4"/>'
+        f'y2="{MARGIN_T + PLOT_H}" {_MEAN_STYLE}/>'
     )
-    parts.append("</svg>")
-    _write_text(out_path, "\n".join(parts) + "\n")
-
-
-def _write_text(path: str | os.PathLike, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write(parts, out_path)

@@ -138,13 +138,16 @@ def compute_range(
 
     With resume=True, rows already on disk are kept and only the remainder
     is computed; the final file is byte-identical to an uninterrupted run.
-    It runs min(threads, primes left to compute) pool workers, or runs
+    It runs min(threads, primes left to compute) pool workers (threads
+    below 1 is a ValueError, raised before the file is touched), or runs
     serially in this process when that is at most 1.  With a pool (main
     thread only), the workers ignore SIGINT, and an interrupt terminates
     them rather than waiting on their chunks.
     """
     if not 3 <= q_min <= q_max:
         raise ValueError("need 3 <= q_min <= q_max")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     path = Path(out)
     primes = sieve_primes(q_max)
     primes = primes[primes >= max(q_min, 3)]

@@ -151,8 +151,9 @@ class TestDusart:
         assert check_dusart(2278383)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            check_dusart(10**6)
+        for x in (10**6, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                check_dusart(x)
 
 
 class TestReportRow:

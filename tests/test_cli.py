@@ -26,6 +26,7 @@ ABOVE_GUARD = 100003  # the least prime above primesum.VERIFY_MAX_Q = 100000
 def _assert_error_exit_2(argv, capsys) -> str:
     assert main(argv) == 2
     out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in out + err
     return err
@@ -139,6 +140,14 @@ def test_compute_bad_range_exits_2(lo, hi, tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_compute_threads_below_1_exits_2(threads, tmp_path, capsys):
+    out_path = tmp_path / "r.csv"
+    argv = ["compute", "--from", "3", "--to", "50", "--out", str(out_path), "--threads", threads]
+    assert f"threads >= 1, got {threads}" in _assert_error_exit_2(argv, capsys)
+    assert not out_path.exists()
+
+
 def test_compute_damaged_resume_exits_2(tmp_path, capsys):
     damaged = tmp_path / "r.csv"
     damaged.write_text("not,the,header\n")
@@ -215,7 +224,9 @@ def test_bounds_report(tmp_path, capsys):
     assert 0 < n_env < n and 0 < n_band < n
     assert lines[-1] == f"# envelope ok: {n_env}/{n}   normalized band ok: {n_band}/{n}"
 
-    _assert_error_exit_2(["bounds", "--in", str(csv), "--dusart-x", "10"], capsys)
+    # a refused x prints no row
+    for x in ("10", "inf", "nan"):
+        assert "a finite x" in _assert_error_exit_2(["bounds", "--in", str(csv), "--dusart-x", x], capsys)
 
 
 class _ClosedPipe(io.TextIOBase):

@@ -17,8 +17,6 @@ from bsratio.figures import (
     PLOT_H,
     PLOT_W,
     freedman_diaconis_edges,
-    histogram_scale,
-    mean_line_y,
     plot_histogram,
     plot_scatter,
     scatter_scale,
@@ -302,7 +300,8 @@ class TestScatter:
 class TestHistogram:
     def test_partition_and_subset(self, rows100):
         values = np.array([r.R for r in rows100])
-        edges, counts = histogram_scale(values)
+        edges = freedman_diaconis_edges(values)
+        counts, _ = np.histogram(values, bins=edges)
         assert counts.sum() == len(rows100)
         for mask_attr in ("flag_2qp1", "flag_2qm1"):
             mask = np.array([getattr(r, mask_attr) for r in rows100])
@@ -375,13 +374,6 @@ class TestFigureBytes:
                 plot(rows, normalized, out)
                 got[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert got == self.SHA256[table]
-
-
-class TestMeanLineHelper:
-    def test_mean_line_y_inverts(self):
-        vals = np.array([1.0, 2.0, 3.0])
-        y = mean_line_y(vals, 0.0, 4.0)
-        assert y == pytest.approx(MARGIN_T + PLOT_H - 2.0 / 4.0 * PLOT_H)
 
 
 class TestStatsRowShape:
